@@ -13,7 +13,9 @@
 //! bias/relu passes) vs compiled [`eugene_nn::StagePlan`] (pre-packed
 //! panels, GEMM-epilogue fusion, arena-pooled intermediates). The
 //! process-wide counting allocator additionally proves the f32 plan
-//! path performs **zero allocations** per dispatch after warm-up.
+//! path performs **zero allocations** per dispatch after warm-up, and
+//! that compiling a second batch shape allocates under 1 % of the bytes
+//! the first did (the weight panels belong to the layer, not the plan).
 
 use eugene_bench::{has_flag, host_cores, host_isa, print_table, write_json, HostIsa};
 use eugene_nn::{Layer, StagedNetwork, StagedNetworkConfig};
@@ -25,16 +27,23 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Counts heap allocations so the fused bench can assert the
-/// steady-state plan dispatch allocates nothing. Deallocations are
-/// pass-through; only allocation events matter for the claim.
+/// Counts heap allocations (events and requested bytes) so the fused
+/// bench can assert the steady-state plan dispatch allocates nothing
+/// and a second plan shape allocates no weight panels. Deallocations
+/// are pass-through; only allocations matter for the claims.
 struct CountingAlloc;
 
 static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn count_alloc(bytes: usize) {
+    ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+    ALLOC_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        count_alloc(layout.size());
         System.alloc(layout)
     }
 
@@ -43,12 +52,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        count_alloc(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        count_alloc(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -97,6 +106,12 @@ struct FusedServingPoint {
     /// Heap allocation events during the measured f32 plan dispatches
     /// (after warm-up) — the arena/pre-pack design pins this to zero.
     steady_state_allocs: u64,
+    /// Bytes requested from the allocator while compiling the first f32
+    /// plan shape (this packs the layers' weight panels) ...
+    first_compile_alloc_bytes: u64,
+    /// ... and while compiling a second batch shape of the same stage,
+    /// which borrows those panels.
+    second_compile_alloc_bytes: u64,
 }
 
 #[derive(Serialize)]
@@ -202,7 +217,12 @@ fn fused_serving_bench(quick: bool) -> FusedServingPoint {
         std::hint::black_box((h.as_slice()[0], l.as_slice()[0]));
     });
 
+    let bytes_before = ALLOC_BYTES.load(Ordering::Relaxed);
     let plan = net.stage_plan(0, ROWS).expect("bench stage compiles");
+    let bytes_after_first = ALLOC_BYTES.load(Ordering::Relaxed);
+    net.stage_plan(0, ROWS / 2).expect("second shape compiles");
+    let first_compile_alloc_bytes = bytes_after_first - bytes_before;
+    let second_compile_alloc_bytes = ALLOC_BYTES.load(Ordering::Relaxed) - bytes_after_first;
     let plan_steps = plan.num_steps();
     let mut out_h = Matrix::zeros(0, 0);
     let mut out_l = Matrix::zeros(0, 0);
@@ -249,13 +269,16 @@ fn fused_serving_bench(quick: bool) -> FusedServingPoint {
         fused_vs_unfused_int8: fused_int8 / unfused_int8,
         plan_steps,
         steady_state_allocs,
+        first_compile_alloc_bytes,
+        second_compile_alloc_bytes,
     }
 }
 
 /// Prints the fused comparison and enforces the serving-path floors:
 /// fused must beat the layer walk (>= 1.15x in the full run, >= 1.0x
-/// in the timing-noise-prone quick pass) and the steady-state f32 plan
-/// dispatch must not allocate.
+/// in the timing-noise-prone quick pass), the steady-state f32 plan
+/// dispatch must not allocate, and a second plan shape must not pack
+/// weights again.
 fn report_fused(point: &FusedServingPoint, quick: bool) {
     print_table(
         "compiled-plan serving dispatch vs layer walk (single thread)",
@@ -285,6 +308,17 @@ fn report_fused(point: &FusedServingPoint, quick: bool) {
         "compiled f32 plan dispatch must not allocate after warm-up \
          (counted {} allocation events)",
         point.steady_state_allocs
+    );
+    println!(
+        "plan compile allocations: first shape {} B, second shape {} B",
+        point.first_compile_alloc_bytes, point.second_compile_alloc_bytes
+    );
+    assert!(
+        point.second_compile_alloc_bytes * 100 < point.first_compile_alloc_bytes,
+        "a second batch shape must borrow the layers' weight panels: it allocated \
+         {} B against {} B for the first shape (floor: under 1 %)",
+        point.second_compile_alloc_bytes,
+        point.first_compile_alloc_bytes
     );
     let floor = if quick { 1.0 } else { 1.15 };
     assert!(

@@ -70,7 +70,6 @@ impl InferenceEngine for StagedNetworkEngine {
     }
 
     fn next_stage_batch(&self, batch: &mut [Box<dyn EngineSession>]) -> Vec<Option<StageReport>> {
-        use eugene_nn::Layer;
         let mut reports: Vec<Option<StageReport>> = batch.iter().map(|_| None).collect();
         // Group fusable sessions by the stage they are about to run. The
         // runtime gathers per stage, so normally there is exactly one
@@ -96,58 +95,20 @@ impl InferenceEngine for StagedNetworkEngine {
             reports[i] = batch[i].next_stage();
         }
         for (stage, members) in groups {
-            // Micro-batched dispatches execute through a compiled,
-            // cached stage plan: fused GEMM epilogues, pre-packed
-            // weight panels, pooled intermediates — and bitwise the
-            // same numbers as the layer walk, so scattering row `r`
-            // back to request `r` is exactly as if it had run alone.
-            // Plan compilation can fail only for exotic layer types;
-            // the layer-walk path below stays as the fallback.
-            let plan = self.network.stage_plan(stage, members.len()).ok();
-            let (hidden, logits) = match plan {
-                Some(plan) => {
-                    // Gather members' hidden rows (and raw inputs for
-                    // the shortcut wiring) — the plan performs any
-                    // concat itself.
-                    let mut hidden_rows: Vec<f32> = Vec::new();
-                    let mut raw_rows: Vec<f32> = Vec::new();
-                    for &i in &members {
-                        let s = network_session(&mut batch[i]);
-                        hidden_rows.extend_from_slice(s.hidden.row(0));
-                        raw_rows.extend_from_slice(s.input.row(0));
-                    }
-                    let hcols = hidden_rows.len() / members.len();
-                    let gathered = Matrix::from_vec(members.len(), hcols, hidden_rows);
-                    let raw = Matrix::from_vec(members.len(), self.network.input_dim(), raw_rows);
-                    plan.execute(&self.network, &gathered, &raw)
-                }
-                None => {
-                    if members.len() == 1 {
-                        let i = members[0];
-                        reports[i] = batch[i].next_stage();
-                        continue;
-                    }
-                    // Fallback: gather every member's stage input as one
-                    // row of a fused matrix. The blocked kernels
-                    // accumulate each output row in a fixed k-order
-                    // independent of the row count, so row `r` of the
-                    // fused forward is bitwise-identical to the member
-                    // running its stage alone.
-                    let mut rows: Vec<f32> = Vec::new();
-                    for &i in &members {
-                        let s = network_session(&mut batch[i]);
-                        rows.extend_from_slice(s.hidden.row(0));
-                        if stage > 0 && self.network.input_skip() {
-                            rows.extend_from_slice(s.input.row(0));
-                        }
-                    }
-                    let cols = rows.len() / members.len();
-                    let stage_in = Matrix::from_vec(members.len(), cols, rows);
-                    let hidden = self.network.stages()[stage].infer(&stage_in);
-                    let logits = self.network.heads()[stage].infer(&hidden);
-                    (hidden, logits)
-                }
-            };
+            // Gather members' hidden rows and raw inputs; row `r` of the
+            // fused stage is bitwise what request `r` would get alone,
+            // so scattering it back is exact (see `run_stage`).
+            let mut hidden_rows: Vec<f32> = Vec::new();
+            let mut raw_rows: Vec<f32> = Vec::new();
+            for &i in &members {
+                let s = network_session(&mut batch[i]);
+                hidden_rows.extend_from_slice(s.hidden.row(0));
+                raw_rows.extend_from_slice(s.input.row(0));
+            }
+            let hcols = hidden_rows.len() / members.len();
+            let gathered = Matrix::from_vec(members.len(), hcols, hidden_rows);
+            let raw = Matrix::from_vec(members.len(), self.network.input_dim(), raw_rows);
+            let (hidden, logits) = run_stage(&self.network, stage, &gathered, &raw);
             for (r, &i) in members.iter().enumerate() {
                 let s = network_session(&mut batch[i]);
                 s.hidden = Matrix::row_vector(hidden.row(r));
@@ -172,6 +133,40 @@ impl InferenceEngine for StagedNetworkEngine {
             entries: s.entries,
             generation: s.generation,
         })
+    }
+}
+
+/// Executes `stage` over `hidden.rows()` requests at once, returning
+/// `(hidden, logits)`. Every serving dispatch — a fused micro-batch or
+/// a batch of one — runs the compiled, cached stage plan for its row
+/// count: fused GEMM epilogues, the layers' shared pre-packed panels,
+/// pooled intermediates, so no weight is packed at request time.
+/// `plan_parity` holds plans bitwise-equal to the layer walk at every
+/// row count, which keeps the walk below only for stages holding a
+/// layer the op IR cannot express; there the blocked kernels still
+/// accumulate each output row in a fixed k-order independent of the
+/// row count.
+fn run_stage(
+    network: &StagedNetwork,
+    stage: usize,
+    hidden: &Matrix,
+    raw: &Matrix,
+) -> (Matrix, Matrix) {
+    match network.stage_plan(stage, hidden.rows()) {
+        Ok(plan) => plan.execute(network, hidden, raw),
+        Err(_) => {
+            use eugene_nn::Layer;
+            // Mirror the trunk's shortcut wiring: stages after the
+            // first see [previous output | raw input].
+            let stage_in = if stage > 0 && network.input_skip() {
+                hidden.hconcat(raw)
+            } else {
+                hidden.clone()
+            };
+            let hidden = network.stages()[stage].infer(&stage_in);
+            let logits = network.heads()[stage].infer(&hidden);
+            (hidden, logits)
+        }
     }
 }
 
@@ -200,16 +195,8 @@ impl EngineSession for NetworkSession {
         if !self.valid || self.done >= self.network.num_stages() {
             return None;
         }
-        use eugene_nn::Layer;
-        // Mirror the trunk's shortcut wiring: stages after the first see
-        // [previous output | raw input] when the network uses input skips.
-        let stage_in = if self.done > 0 && self.network.input_skip() {
-            self.hidden.hconcat(&self.input)
-        } else {
-            self.hidden.clone()
-        };
-        self.hidden = self.network.stages()[self.done].infer(&stage_in);
-        let logits = self.network.heads()[self.done].infer(&self.hidden);
+        let (hidden, logits) = run_stage(&self.network, self.done, &self.hidden, &self.input);
+        self.hidden = hidden;
         let probs = softmax(logits.row(0));
         let predicted = argmax(&probs);
         self.done += 1;
@@ -341,6 +328,67 @@ mod tests {
             .next_stage_batch(&mut batch)
             .iter()
             .all(Option::is_none));
+    }
+
+    /// A layer the op IR has no lowering for: halves its input.
+    #[derive(Clone)]
+    struct Halve;
+
+    impl eugene_nn::Layer for Halve {
+        fn forward(&mut self, input: &Matrix) -> Matrix {
+            self.infer(input)
+        }
+        fn backward(&mut self, grad_output: &Matrix) -> Matrix {
+            self.infer(grad_output)
+        }
+        fn infer(&self, input: &Matrix) -> Matrix {
+            input.map(|v| v * 0.5)
+        }
+        fn describe(&self) -> String {
+            "halve".into()
+        }
+        fn clone_box(&self) -> Box<dyn eugene_nn::Layer> {
+            Box::new(self.clone())
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn uncompilable_stage_falls_back_to_the_layer_walk() {
+        use eugene_nn::{Linear, Sequential};
+        let mut rng = seeded_rng(21);
+        let mut block = Sequential::new();
+        block.push(Linear::new(4, 6, &mut rng));
+        block.push(Halve);
+        let head = Linear::new(6, 3, &mut rng);
+        let network = Arc::new(StagedNetwork::from_parts(
+            vec![block],
+            vec![head],
+            4,
+            3,
+            false,
+        ));
+        assert!(network.stage_plan(0, 1).is_err(), "no lowering for Halve");
+        let engine = StagedNetworkEngine::new(Arc::clone(&network));
+        let payloads = [[0.3, -0.1, 0.7, 0.2], [0.9, 0.4, -0.6, 0.1]];
+
+        let mut batch: Vec<Box<dyn EngineSession>> =
+            payloads.iter().map(|p| engine.begin(p)).collect();
+        let fused = engine.next_stage_batch(&mut batch);
+        for (payload, fused) in payloads.iter().zip(fused) {
+            let want = &network.classify(payload)[0];
+            let solo = engine.begin(payload).next_stage().unwrap();
+            for got in [solo, fused.unwrap()] {
+                assert_eq!(got.predicted, want.predicted);
+                assert_eq!(got.confidence.to_bits(), want.confidence.to_bits());
+            }
+        }
+        assert_eq!(network.plan_cache().stats().entries, 0);
     }
 
     #[test]

@@ -214,8 +214,16 @@ impl Eugene {
     fn register(&mut self, network: StagedNetwork) -> ModelId {
         let id = self.next_id;
         self.next_id += 1;
-        self.models.insert(id, Arc::new(network));
+        self.publish(id, network);
         ModelId(id)
+    }
+
+    /// Stores `network` as model `id`. A published model is served, not
+    /// trained, so it sheds its gradient buffers (a second full copy of
+    /// the weights); training a copy later re-materialises them.
+    fn publish(&mut self, id: u64, mut network: StagedNetwork) {
+        network.release_training_state();
+        self.models.insert(id, Arc::new(network));
     }
 
     /// §II-A *training*: fits a staged network on client data and
@@ -325,12 +333,7 @@ impl Eugene {
         let network = self.network(id)?;
         let mut copy = (**network).clone();
         let outcome = EntropyCalibrator::default().calibrate(&mut copy, calibration, &mut self.rng);
-        self.models.insert(
-            match id {
-                ModelId(raw) => raw,
-            },
-            Arc::new(copy),
-        );
+        self.publish(id.0, copy);
         Ok(outcome)
     }
 

@@ -1,7 +1,8 @@
 //! Plan-cache lifecycle at the serving layer: micro-batched engine
-//! dispatches compile each stage plan once and reuse it thereafter,
-//! the runtime surfaces the counters, and a model reload never serves
-//! a stale plan.
+//! dispatches compile each stage plan once and reuse it thereafter, a
+//! batch of one runs the `rows = 1` plans (bitwise the layer walk, on
+//! every tier and precision), the runtime surfaces the counters, and a
+//! model reload never serves a stale plan.
 
 use eugene_nn::{Linear, StagedNetwork, StagedNetworkConfig};
 use eugene_sched::Fifo;
@@ -9,8 +10,8 @@ use eugene_serve::{
     EngineSession, InferenceEngine, InferenceRequest, RuntimeConfig, ServiceClass, ServingRuntime,
 };
 use eugene_service::StagedNetworkEngine;
-use eugene_tensor::seeded_rng;
-use std::sync::Arc;
+use eugene_tensor::{seeded_rng, set_simd_mode, simd_mode, SimdMode};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 fn network(seed: u64) -> StagedNetwork {
@@ -69,6 +70,130 @@ fn micro_batched_dispatch_compiles_each_stage_once_then_hits() {
     assert_eq!(stats.misses as usize, 2 * engine.num_stages());
 }
 
+/// The kernel-path override is process-global and the tiers differ in
+/// their bits, so every test that compares bits holds this lock.
+fn mode_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poison| poison.into_inner())
+}
+
+/// Runs `body` with the scalar kernel tier forced, restoring the
+/// ambient mode afterwards (panic-safe). Callers hold [`mode_lock`].
+fn with_scalar_tier(body: impl FnOnce()) {
+    let ambient = simd_mode();
+    set_simd_mode(SimdMode::ForceScalar);
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
+    set_simd_mode(ambient);
+    if let Err(payload) = result {
+        std::panic::resume_unwind(payload);
+    }
+}
+
+/// Runs one session per payload to completion and asserts every report
+/// carries the bits `classify` (the layer-walk oracle) computes.
+fn assert_sessions_match_classify(engine: &StagedNetworkEngine, what: &str) {
+    for payload in payloads(3) {
+        let mut session = engine.begin(&payload);
+        for want in engine.network().classify(&payload) {
+            let got = session.next_stage().expect("one report per stage");
+            assert_eq!(
+                got.predicted, want.predicted,
+                "{what}: stage {}",
+                want.stage
+            );
+            assert_eq!(
+                got.confidence.to_bits(),
+                want.confidence.to_bits(),
+                "{what}: stage {}: batch-of-one plan vs layer walk",
+                want.stage
+            );
+        }
+        assert!(session.next_stage().is_none());
+    }
+}
+
+/// `NetworkSession::next_stage` executes the `rows = 1` stage plans.
+/// They must answer bitwise like `classify` for f32 and every subset of
+/// Int8 stages, under the ambient tier, with the scalar tier forced,
+/// and when the tier flips after the plans and packs were built.
+#[test]
+fn batch_of_one_session_matches_classify_bitwise_on_every_lane() {
+    let _guard = mode_lock();
+    for mask in 0u8..4 {
+        let mut net = network(20 + u64::from(mask));
+        let quantized: Vec<usize> = (0..net.num_stages())
+            .filter(|s| mask & (1 << s) != 0)
+            .collect();
+        net.quantize_stages(&quantized);
+        let scalar_from_the_start = StagedNetworkEngine::new(Arc::new(net.clone()));
+        let engine = StagedNetworkEngine::new(Arc::new(net));
+
+        assert_sessions_match_classify(&engine, &format!("int8 {quantized:?}, ambient tier"));
+        let compiled = engine.plan_cache_stats().unwrap().misses;
+        assert_eq!(
+            compiled as usize,
+            engine.num_stages(),
+            "one rows=1 plan per stage"
+        );
+
+        with_scalar_tier(|| {
+            // Panels packed for the ambient tier no longer fit and must
+            // be ignored, not misused.
+            assert_sessions_match_classify(&engine, &format!("int8 {quantized:?}, tier flipped"));
+            assert_sessions_match_classify(
+                &scalar_from_the_start,
+                &format!("int8 {quantized:?}, scalar tier"),
+            );
+        });
+        assert_eq!(
+            engine.plan_cache_stats().unwrap().misses,
+            compiled,
+            "the flipped pass reused the cached plans"
+        );
+    }
+}
+
+/// The runtime still dispatches a lone request as singletons — it calls
+/// the session, not `next_stage_batch` — and each of those is now a
+/// plan-cache lookup on key `rows = 1`: compiled by the first request,
+/// hit by the second.
+#[test]
+fn batch_of_one_is_a_singleton_dispatch_and_a_rows1_plan_hit() {
+    let engine = Arc::new(StagedNetworkEngine::new(Arc::new(network(5))));
+    let stages = engine.num_stages() as u64;
+    let config = RuntimeConfig {
+        num_workers: 2,
+        max_batch: 4,
+        gather_window: Duration::from_millis(2),
+        ..RuntimeConfig::default()
+    };
+    let runtime = ServingRuntime::start(engine.clone(), Box::new(Fifo::new()), config);
+    let class = ServiceClass::new("t", Duration::from_secs(5));
+    for (nth, payload) in payloads(2).into_iter().enumerate() {
+        let (_, rx) = runtime.submit(InferenceRequest::new(payload, class.clone()));
+        let response = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("response arrives");
+        assert_eq!(response.stages_executed as u64, stages);
+        let nth = nth as u64 + 1;
+        let stats = runtime.stats();
+        assert_eq!(stats.fused_batches(), 0, "a lone request is never fused");
+        assert_eq!(stats.singleton_dispatches(), nth * stages);
+        let plans = runtime.plan_cache_stats().expect("plans are counted");
+        assert_eq!(
+            (plans.misses, plans.hits, plans.entries as u64),
+            (stages, (nth - 1) * stages, stages),
+            "request {nth}: one rows=1 plan per stage, compiled once"
+        );
+    }
+    // The cached entries are the `rows = 1` keys: looking them up is a hit.
+    for stage in 0..engine.num_stages() {
+        engine.network().stage_plan(stage, 1).unwrap();
+    }
+    assert_eq!(engine.plan_cache_stats().unwrap().misses, stages);
+    runtime.shutdown();
+}
+
 #[test]
 fn runtime_surfaces_plan_cache_counters() {
     let engine: Arc<StagedNetworkEngine> = Arc::new(StagedNetworkEngine::new(Arc::new(network(2))));
@@ -102,6 +227,7 @@ fn runtime_surfaces_plan_cache_counters() {
 
 #[test]
 fn model_reload_starts_from_a_fresh_cache_and_new_weights() {
+    let _guard = mode_lock();
     let engine_a = StagedNetworkEngine::new(Arc::new(network(3)));
     run_batch_to_completion(&engine_a, 3);
     assert!(engine_a.plan_cache_stats().unwrap().entries > 0);

@@ -13,11 +13,11 @@
 //!   collapse into one [`FusedGemm`](Step) whose elementwise tail runs
 //!   inside the GEMM micro-kernel epilogue (`eugene-tensor`'s
 //!   [`Matrix::matmul_epilogue_into`]).
-//! - **Weight pre-packing** — the blocked kernel's column panels are
-//!   built at compile time ([`eugene_tensor::PackedRhs`]) instead of on
-//!   every call; Int8 layers contribute a clone of their existing
-//!   [`QuantizedRhs`] pack, so the plan multiplies with byte-identical
-//!   panels.
+//! - **Weight pre-packing** — the blocked kernel's column panels
+//!   ([`eugene_tensor::PackedRhs`]) are built once per *layer*, by the
+//!   first plan compiled over it, instead of on every call; the layer
+//!   owns them and every plan shape borrows the same `Arc`, exactly as
+//!   Int8 layers share their [`eugene_tensor::QuantizedRhs`] pack.
 //! - **Arena reuse** — every intermediate lives in a [`PlanArena`]
 //!   checked out per dispatch from a pool keyed by the plan; after
 //!   warm-up a dispatch performs zero allocations.
@@ -26,24 +26,29 @@
 //!
 //! A compiled plan reproduces the layer walk **bitwise**: the fused
 //! epilogue applies the identical scalar ops in the identical order as
-//! the separate passes, pre-packed panels are pure layout, the Int8
-//! pack is the very `Arc` the layer serves with, and dropout is
-//! skipped exactly because deterministic inference is the identity.
+//! the separate passes, pre-packed panels are pure layout, either
+//! pack is the very `Arc` the layer owns, and dropout is skipped
+//! exactly because deterministic inference is the identity.
 //! `plan_parity` property-tests this across shapes, batch sizes,
 //! precisions, and kernel tiers.
 //!
 //! # Staleness
 //!
-//! Plans snapshot weight *packs*, so any parameter mutation must
-//! invalidate them. Every mutation path through [`StagedNetwork`]
+//! Plans hold handles to weight *packs*, so any parameter mutation
+//! must invalidate them. Every mutation path through [`StagedNetwork`]
 //! (`stages_mut`, `heads_mut`, `visit_params`, `quantize_stages`)
-//! bumps the cache generation and drops cached plans; a plan's
+//! bumps the cache generation and drops cached plans, and the layer
+//! drops its packs when its weights are touched; a plan's
 //! [`StagePlan::generation`] tag records the generation it was built
-//! under, so tests can prove no stale plan is ever served.
+//! under, so tests can prove no stale plan is ever served. A plan that
+//! escaped the cache (or is handed a foreign network) still cannot
+//! answer with old weights: every GEMM step asserts its pack is the
+//! one the resolved layer owns *now*.
 
 use crate::graph::{ActKind, LayerRef, Op, OpGraph, OutputRole, SourceKind};
+use crate::linear::WeightPack;
 use crate::{Activation, Dropout, Linear, StagedNetwork};
-use eugene_tensor::{Matrix, PackedRhs, Precision, QuantizedRhs};
+use eugene_tensor::{Matrix, PackedRhs, Precision};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -113,17 +118,15 @@ enum Step {
         lhs_cols: usize,
     },
     /// `dst = act(src · W + b)`: the fused GEMM. `bias`/`relu` record
-    /// which tail ops were folded into the kernel epilogue; `packed`
-    /// holds pre-built f32 panels, `quantized` the layer's own Int8
-    /// pack (mutually exclusive in practice).
+    /// which tail ops were folded into the kernel epilogue; `pack` is
+    /// the weight layer's own pack at compile time.
     FusedGemm {
         src: Operand,
         dst: usize,
         weights: LayerRef,
         bias: Option<LayerRef>,
         relu: bool,
-        packed: Option<PackedRhs>,
-        quantized: Option<Arc<QuantizedRhs>>,
+        pack: WeightPack,
     },
     /// `dst = src + bias` — a bias add that could not fuse (its matmul
     /// has other consumers).
@@ -171,9 +174,9 @@ impl PlanArena {
 /// cached in the network's [`PlanCache`].
 ///
 /// Weights and biases are resolved against the live network at
-/// execution time via [`LayerRef`]; only the *packs* (f32 panels, Int8
-/// quantization) are compile-time snapshots, guarded by the cache
-/// generation.
+/// execution time via [`LayerRef`]; the *packs* (f32 panels, Int8
+/// quantization) are handles to what each layer owned at compile time,
+/// guarded by the cache generation and checked again on every dispatch.
 pub struct StagePlan {
     stage: usize,
     rows: usize,
@@ -223,17 +226,25 @@ impl StagePlan {
             .count()
     }
 
-    /// Heap bytes of pre-packed f32 weight panels carried by the plan.
+    /// The f32 panel packs this plan multiplies with, one per f32 GEMM
+    /// step — handles to the layers' own packs, shared with every
+    /// other plan shape of the same layers.
+    pub fn f32_packs(&self) -> impl Iterator<Item = &Arc<PackedRhs>> {
+        self.steps.iter().filter_map(|s| match s {
+            Step::FusedGemm {
+                pack: WeightPack::F32(p),
+                ..
+            } => Some(p),
+            _ => None,
+        })
+    }
+
+    /// Heap bytes of the f32 weight panels this plan multiplies with.
+    /// The panels belong to the layers, so summing this over plans of
+    /// one network counts each pack once per plan; see
+    /// [`StagedNetwork::packed_weight_bytes`] for resident bytes.
     pub fn packed_bytes(&self) -> usize {
-        self.steps
-            .iter()
-            .map(|s| match s {
-                Step::FusedGemm {
-                    packed: Some(p), ..
-                } => p.packed_bytes(),
-                _ => 0,
-            })
-            .sum()
+        self.f32_packs().map(|p| p.packed_bytes()).sum()
     }
 
     /// Executes the plan over a batch, writing the stage's hidden
@@ -246,8 +257,9 @@ impl StagePlan {
     ///
     /// # Panics
     ///
-    /// Panics if the batch shape differs from [`StagePlan::rows`] or if
-    /// `network` is not the network this plan was compiled from.
+    /// Panics if the batch shape differs from [`StagePlan::rows`], or
+    /// if a layer of `network` no longer owns the pack this plan was
+    /// compiled with — a different network, or weights mutated since.
     pub fn execute_into(
         &self,
         network: &StagedNetwork,
@@ -329,27 +341,31 @@ impl StagePlan {
                 weights,
                 bias,
                 relu,
-                ref packed,
-                ref quantized,
+                ref pack,
             } => {
                 let lin = resolve_linear(network, weights);
                 let bias_row = bias.map(|b| resolve_linear(network, b).bias().row(0));
                 let (head, tail) = arena.bufs.split_at_mut(dst);
                 let x = operand_ref(src, hidden, raw, head);
                 let out = &mut tail[0];
-                match quantized {
-                    Some(q) => {
-                        // Generation invalidation guarantees the layer
-                        // still serves this exact pack.
-                        debug_assert!(
+                // The kernels read only the pack, never `lin.weights()`:
+                // a pack the layer no longer owns would silently pair
+                // old weights with the live bias.
+                match pack {
+                    WeightPack::Int8(q) => {
+                        assert!(
                             lin.quantized_pack()
                                 .is_some_and(|p| std::ptr::eq(p, q.as_ref())),
                             "Int8 plan outlived its weight pack"
                         );
                         x.matmul_quantized_epilogue_into(q, bias_row, relu, out);
                     }
-                    None => {
-                        x.matmul_epilogue_into(lin.weights(), packed.as_ref(), bias_row, relu, out);
+                    WeightPack::F32(p) => {
+                        assert!(
+                            lin.packed_weights().is_some_and(|own| Arc::ptr_eq(own, p)),
+                            "f32 plan outlived its weight pack"
+                        );
+                        x.matmul_epilogue_into(lin.weights(), Some(p), bias_row, relu, out);
                     }
                 }
             }
@@ -522,7 +538,7 @@ pub fn stage_graph(network: &StagedNetwork, stage: usize) -> Result<OpGraph, Com
 /// Compiles `graph` (one stage of `network`) into a [`StagePlan`]
 /// specialized to `rows` batch rows, fusing single-consumer
 /// `MatMul → BiasAdd → Relu` chains into GEMM-epilogue steps and
-/// snapshotting weight packs.
+/// borrowing each layer's weight pack.
 pub fn compile_graph(
     network: &StagedNetwork,
     graph: &OpGraph,
@@ -602,13 +618,7 @@ pub fn compile_graph(
                         }
                     }
                 }
-                let lin = resolve_linear(network, layer);
-                let quantized = lin.quantized_arc();
-                let packed = if quantized.is_none() {
-                    Some(lin.weights().prepacked_rhs())
-                } else {
-                    None
-                };
+                let pack = resolve_linear(network, layer).serving_pack();
                 let dst = alloc_buf();
                 steps.push(Step::FusedGemm {
                     src: val[input].expect("input scheduled"),
@@ -616,8 +626,7 @@ pub fn compile_graph(
                     weights: layer,
                     bias,
                     relu,
-                    packed,
-                    quantized,
+                    pack,
                 });
                 val[last] = Some(Operand::Buf(dst));
                 val[id] = val[last];
@@ -699,8 +708,8 @@ pub struct PlanCacheStats {
 /// mutation bumps.
 ///
 /// Cloning a network clones this as an **empty** cache — plans
-/// snapshot packs of the network they were compiled from, so they
-/// must not travel to a copy.
+/// resolve layers of the network they were compiled from, so they
+/// must not travel to a copy (the copy's layers do share the packs).
 pub struct PlanCache {
     generation: AtomicU64,
     plans: Mutex<HashMap<PlanKey, Arc<StagePlan>>>,
@@ -782,8 +791,7 @@ impl Default for PlanCache {
 
 impl Clone for PlanCache {
     /// A cloned network starts with a fresh, empty cache: cached plans
-    /// snapshot weight packs of the original and must not be served by
-    /// the copy.
+    /// belong to the original and must not be served by the copy.
     fn clone(&self) -> Self {
         Self::new()
     }

@@ -1,8 +1,16 @@
 use crate::Layer;
-use eugene_tensor::{xavier_uniform, Matrix, Precision, QuantizedRhs};
+use eugene_tensor::{xavier_uniform, Matrix, PackedRhs, Precision, QuantizedRhs};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// The packed weights a compiled plan multiplies with: a shared handle
+/// to the pack its layer owns, so every plan shape of a layer — and
+/// every clone of its network — reads one copy of the panels.
+pub(crate) enum WeightPack {
+    F32(Arc<PackedRhs>),
+    Int8(Arc<QuantizedRhs>),
+}
 
 /// A fully connected layer: `y = x W + b`.
 ///
@@ -24,13 +32,17 @@ use std::sync::Arc;
 /// A layer normally runs f32 kernels. [`Linear::set_precision`] with
 /// [`Precision::Int8`] packs the weights into a [`QuantizedRhs`] once;
 /// inference then runs the i8 GEMM tier (activations quantized per row
-/// on the fly). The pack is serving-time state: it is never serialized
-/// (rebuilt via `set_precision` after load) and is invalidated by any
-/// weight mutation. Training always uses the f32 weights.
+/// on the fly). An f32 layer packs its GEMM panels ([`PackedRhs`]) the
+/// first time a stage plan is compiled over it. Both packs are
+/// serving-time state: never serialized (rebuilt after load), shared —
+/// not rebuilt — by `Clone`, and dropped by any weight mutation.
+/// Training always uses the f32 weights.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Linear {
     weights: Matrix,
     bias: Matrix,
+    /// Empty (`0 x 0`) after [`Linear::release_training_state`];
+    /// `backward`/`visit_params` re-materialise zeroed buffers.
     grad_weights: Matrix,
     grad_bias: Matrix,
     #[serde(skip)]
@@ -39,6 +51,10 @@ pub struct Linear {
     /// shared so cloning a serving network does not repack.
     #[serde(skip)]
     quantized: Option<Arc<QuantizedRhs>>,
+    /// Pre-packed f32 panels, built by the first plan compiled over
+    /// this layer and borrowed by every plan after it.
+    #[serde(skip)]
+    packed: OnceLock<Arc<PackedRhs>>,
 }
 
 impl Linear {
@@ -59,6 +75,7 @@ impl Linear {
             grad_bias: Matrix::zeros(1, out_dim),
             cached_input: None,
             quantized: None,
+            packed: OnceLock::new(),
         }
     }
 
@@ -84,6 +101,7 @@ impl Linear {
             grad_bias: Matrix::zeros(1, out_dim),
             cached_input: None,
             quantized: None,
+            packed: OnceLock::new(),
         }
     }
 
@@ -107,12 +125,18 @@ impl Linear {
         &self.bias
     }
 
-    /// Mutable weight access, used by pruning. Drops any quantized pack:
+    /// Mutable weight access, used by pruning. Drops both weight packs:
     /// a pack built from the old weights would silently serve stale
     /// parameters.
     pub fn weights_mut(&mut self) -> &mut Matrix {
-        self.quantized = None;
+        self.drop_packs();
         &mut self.weights
+    }
+
+    /// The one place a weight pack is dropped.
+    fn drop_packs(&mut self) {
+        self.quantized = None;
+        self.packed.take();
     }
 
     /// Mutable bias access, used by pruning.
@@ -136,25 +160,58 @@ impl Linear {
         self.quantized.as_deref()
     }
 
-    /// A shared handle to the installed pack, if any. The stage
-    /// compiler embeds this in Int8 plans so a compiled dispatch
-    /// multiplies with the byte-identical panels the layer walk uses.
-    pub(crate) fn quantized_arc(&self) -> Option<Arc<QuantizedRhs>> {
-        self.quantized.clone()
+    /// The f32 panel pack, once a plan has been compiled over this
+    /// layer (and until the next weight mutation).
+    pub fn packed_weights(&self) -> Option<&Arc<PackedRhs>> {
+        self.packed.get()
+    }
+
+    /// A shared handle to the pack this layer serves with: the Int8
+    /// pack when installed, otherwise the f32 panels — packed here, on
+    /// first request, and nowhere else. Concurrent first requests pack
+    /// once. The stage compiler embeds the handle in its plans, so a
+    /// compiled dispatch multiplies with the layer's own panels.
+    pub(crate) fn serving_pack(&self) -> WeightPack {
+        match &self.quantized {
+            Some(q) => WeightPack::Int8(Arc::clone(q)),
+            None => WeightPack::F32(Arc::clone(
+                self.packed
+                    .get_or_init(|| Arc::new(self.weights.prepacked_rhs())),
+            )),
+        }
     }
 
     /// Switches the serving precision. `Int8` packs the current weights
-    /// into the quantized GEMM layout (a no-op if already packed); `F32`
-    /// drops the pack. Training is unaffected either way — gradients
+    /// into the quantized GEMM layout (a no-op if already packed) and
+    /// drops the f32 panels it no longer multiplies with; `F32` drops
+    /// the Int8 pack. Training is unaffected either way — gradients
     /// always flow through the f32 weights.
     pub fn set_precision(&mut self, precision: Precision) {
         match precision {
             Precision::F32 => self.quantized = None,
             Precision::Int8 => {
                 if self.quantized.is_none() {
+                    self.drop_packs();
                     self.quantized = Some(Arc::new(self.weights.quantized_rhs()));
                 }
             }
+        }
+    }
+
+    /// Frees what only training reads — the gradient accumulators (a
+    /// second full copy of the weights) and the cached forward input —
+    /// for a model that is published for serving. Training it again
+    /// still works: the buffers come back zeroed on demand.
+    pub fn release_training_state(&mut self) {
+        self.grad_weights = Matrix::zeros(0, 0);
+        self.grad_bias = Matrix::zeros(0, 0);
+        self.cached_input = None;
+    }
+
+    fn ensure_grads(&mut self) {
+        if self.grad_weights.shape() != self.weights.shape() {
+            self.grad_weights = Matrix::zeros(self.in_dim(), self.out_dim());
+            self.grad_bias = Matrix::zeros(1, self.out_dim());
         }
     }
 }
@@ -166,6 +223,7 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad_output: &Matrix) -> Matrix {
+        self.ensure_grads();
         let input = self
             .cached_input
             .as_ref()
@@ -186,9 +244,10 @@ impl Layer for Linear {
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {
-        // The optimizer mutates weights through this hook, so any
-        // quantized pack is stale afterwards.
-        self.quantized = None;
+        // The optimizer mutates weights through this hook, so both
+        // packs are stale afterwards.
+        self.drop_packs();
+        self.ensure_grads();
         visitor(&mut self.weights, &mut self.grad_weights);
         visitor(&mut self.bias, &mut self.grad_bias);
     }

@@ -240,19 +240,13 @@ impl StagedNetwork {
     /// logits feed entropy-based exit decisions, where quantization
     /// noise would directly perturb confidence thresholds.
     pub fn stage_precision(&self, s: usize) -> Precision {
-        let mut linears = 0usize;
-        let mut quantized = 0usize;
-        if let Some(block) = self.stages.get(s) {
-            for layer in block.layers() {
-                if let Some(lin) = layer.as_any().downcast_ref::<Linear>() {
-                    linears += 1;
-                    if lin.precision() == Precision::Int8 {
-                        quantized += 1;
-                    }
-                }
-            }
-        }
-        if linears > 0 && linears == quantized {
+        let mut linears = self
+            .stages
+            .get(s)
+            .into_iter()
+            .flat_map(trunk_linears)
+            .peekable();
+        if linears.peek().is_some() && linears.all(|lin| lin.precision() == Precision::Int8) {
             Precision::Int8
         } else {
             Precision::F32
@@ -280,12 +274,36 @@ impl StagedNetwork {
             } else {
                 Precision::F32
             };
-            for layer in block.layers_mut() {
-                if let Some(lin) = layer.as_any_mut().downcast_mut::<Linear>() {
-                    lin.set_precision(precision);
-                }
-            }
+            trunk_linears_mut(block).for_each(|lin| lin.set_precision(precision));
         }
+    }
+
+    /// Resident heap bytes of the weight packs the layers own (f32
+    /// panels built by plan compilation, Int8 packs built by
+    /// [`StagedNetwork::quantize_stages`]). Plans only borrow these,
+    /// so the figure does not grow with the number of compiled batch
+    /// shapes.
+    pub fn packed_weight_bytes(&self) -> usize {
+        self.stages
+            .iter()
+            .flat_map(trunk_linears)
+            .chain(&self.heads)
+            .map(|lin| {
+                lin.packed_weights().map_or(0, |p| p.packed_bytes())
+                    + lin.quantized_pack().map_or(0, |q| q.packed_bytes())
+            })
+            .sum()
+    }
+
+    /// Frees what only training reads (see
+    /// [`Linear::release_training_state`]) on every layer — called where
+    /// a model is published for serving. The network stays trainable.
+    pub fn release_training_state(&mut self) {
+        self.stages
+            .iter_mut()
+            .flat_map(trunk_linears_mut)
+            .chain(&mut self.heads)
+            .for_each(Linear::release_training_state);
     }
 
     /// The input a stage consumes given the previous stage's output.
@@ -450,8 +468,9 @@ impl StagedNetwork {
 
     /// The compiled, cached execution plan for `stage` at a batch
     /// shape of `rows`, compiling it on first use. Plans fuse
-    /// elementwise tails into the GEMM epilogue and carry pre-packed
-    /// weight panels plus pooled intermediate buffers, and execute
+    /// elementwise tails into the GEMM epilogue, multiply with the
+    /// layers' pre-packed weight panels (packed once per layer, shared
+    /// by every `rows`) and pool their intermediate buffers, and execute
     /// **bitwise-identically** to the layer walk — see
     /// [`crate::compile`].
     ///
@@ -491,6 +510,21 @@ impl StagedNetwork {
             .collect();
         stages.join("\n")
     }
+}
+
+/// The `Linear` layers of one trunk block.
+fn trunk_linears(block: &Sequential) -> impl Iterator<Item = &Linear> {
+    block
+        .layers()
+        .iter()
+        .filter_map(|layer| layer.as_any().downcast_ref::<Linear>())
+}
+
+fn trunk_linears_mut(block: &mut Sequential) -> impl Iterator<Item = &mut Linear> {
+    block
+        .layers_mut()
+        .iter_mut()
+        .filter_map(|layer| layer.as_any_mut().downcast_mut::<Linear>())
 }
 
 impl std::fmt::Debug for StagedNetwork {

@@ -311,6 +311,45 @@ mod tests {
         assert_eq!(run(8), run(8));
     }
 
+    /// A published model sheds its gradient buffers; training it again
+    /// must re-materialise them and land on bitwise the same weights as
+    /// a copy that never released anything.
+    #[test]
+    fn released_network_trains_on_bitwise_like_an_unreleased_one() {
+        let data = blob_dataset(60, 9);
+        let config = StagedNetworkConfig {
+            input_dim: 2,
+            num_classes: 2,
+            stage_widths: vec![vec![4], vec![3]],
+            dropout: 0.0,
+            input_skip: true,
+        };
+        let one_epoch = Trainer::new(TrainConfig {
+            epochs: 1,
+            ..TrainConfig::default()
+        });
+        let mut kept = StagedNetwork::new(&config, &mut seeded_rng(10));
+        one_epoch.fit(&mut kept, &data, &mut seeded_rng(11));
+        let mut released = kept.clone();
+        released.release_training_state();
+
+        one_epoch.fit(&mut kept, &data, &mut seeded_rng(12));
+        one_epoch.fit(&mut released, &data, &mut seeded_rng(12));
+        let params = |net: &mut StagedNetwork| {
+            let mut bits = Vec::new();
+            net.visit_params(&mut |p, g| {
+                assert_eq!(
+                    p.shape(),
+                    g.shape(),
+                    "gradient buffer matches its parameter"
+                );
+                bits.extend(p.as_slice().iter().map(|v| v.to_bits()));
+            });
+            bits
+        };
+        assert_eq!(params(&mut kept), params(&mut released));
+    }
+
     #[test]
     fn parallelism_knob_is_applied_and_training_stays_deterministic() {
         let data = blob_dataset(60, 14);

@@ -110,6 +110,35 @@ fn check_all_stages(net: &StagedNetwork, input: &Matrix) -> Result<(), proptest:
         )?;
         hidden = walk_h;
     }
+    check_batch_of_one(net, input.row(0))
+}
+
+/// The serving path for a batch of one (`NetworkSession::next_stage` in
+/// `eugene-service`) chains the `rows = 1` plans, feeding each stage the
+/// plan's own hidden output. That chain must reproduce `classify` — the
+/// layer-walk session — bitwise, stage by stage.
+fn check_batch_of_one(net: &StagedNetwork, sample: &[f32]) -> Result<(), proptest::CaseError> {
+    let raw = Matrix::row_vector(sample);
+    let mut hidden = raw.clone();
+    for want in net.classify(sample) {
+        let plan = net
+            .stage_plan(want.stage, 1)
+            .expect("standard stages compile");
+        let (next, logits) = plan.execute(net, &hidden, &raw);
+        let got = eugene_tensor::softmax(logits.row(0));
+        prop_assert_eq!(got.len(), want.probs.len());
+        for (g, w) in got.iter().zip(&want.probs) {
+            prop_assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "stage {}: rows=1 plan chain vs classify: {} vs {}",
+                want.stage,
+                g,
+                w
+            );
+        }
+        hidden = next;
+    }
     Ok(())
 }
 

@@ -359,6 +359,19 @@ pub struct PackedRhs {
     panels: AlignedVec<f32>,
 }
 
+impl std::fmt::Debug for PackedRhs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "PackedRhs({}x{}, panel width {}, {} bytes)",
+            self.k,
+            self.n,
+            self.nr,
+            self.packed_bytes()
+        )
+    }
+}
+
 impl PackedRhs {
     /// Packs a row-major `k × n` weight slice for the currently
     /// resolved kernel path.

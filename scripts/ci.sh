@@ -57,7 +57,8 @@ EUGENE_SIMD=0 cargo test -p eugene-tensor -q --offline --test kernel_properties
 # walk across architectures/batches/precisions/tier flips) and the
 # plan-cache lifecycle suite (hit/miss accounting, invalidation on every
 # parameter-mutation funnel, quantize-after-compile, the concurrency
-# hammer). Run twice — once under kernel-path auto-detection and once
+# hammers, one weight pack per layer shared by every plan shape and
+# clone, stale/foreign plans panic instead of answering). Run twice — once under kernel-path auto-detection and once
 # with the SIMD tier forced off — so fused epilogues on both the
 # vectorized and scalar tiers stay under the parity contract.
 echo "==> cargo test -p eugene-nn --test plan_parity --test plan_cache -q"
@@ -66,8 +67,9 @@ echo "==> EUGENE_SIMD=0 cargo test -p eugene-nn --test plan_parity --test plan_c
 EUGENE_SIMD=0 cargo test -p eugene-nn -q --offline --test plan_parity --test plan_cache
 
 # Serving-layer plan lifecycle: micro-batched dispatch compiles each
-# stage once then hits, the runtime surfaces the counters, and a model
-# reload never serves a stale plan.
+# stage once then hits, a batch of one runs the rows=1 plans bitwise
+# like the layer walk on every lane, the runtime surfaces the counters,
+# and a model reload never serves a stale plan.
 echo "==> cargo test -p eugene-service --test plan_lifecycle -q"
 cargo test -p eugene-service -q --offline --test plan_lifecycle
 echo "==> EUGENE_SIMD=0 cargo test -p eugene-service --test plan_lifecycle -q"
@@ -83,8 +85,10 @@ cargo run --release --offline -p eugene-bench --bin kernel_throughput -- --quick
 # Fused-serving smoke: compiled-plan dispatch vs the unfused layer walk
 # at 512x512, single thread. Asserts bitwise parity inline, zero
 # steady-state allocations after warm-up (counting global allocator),
-# and that the fused plan is at least as fast as the walk (the full
-# bench holds the 1.15x floor).
+# a second batch shape compiling with < 1 % of the first's allocated
+# bytes (plans borrow the layers' weight panels), and that the fused
+# plan is at least as fast as the walk (the full bench holds the 1.15x
+# floor).
 echo "==> kernel_throughput --fused --quick"
 cargo run --release --offline -p eugene-bench --bin kernel_throughput -- --fused --quick
 
@@ -117,5 +121,14 @@ cargo run --release --offline -p eugene-bench --bin gateway_throughput -- --quic
 # utility at equal compute.
 echo "==> gateway_throughput --quick --tenants"
 cargo run --release --offline -p eugene-bench --bin gateway_throughput -- --quick --tenants
+
+# The repository's benchmark (benchmark/, a package of its own outside
+# the workspace): its unit tests and a < 60 s smoke over all four
+# workloads, both passes, with every answer checked bit for bit — so it
+# cannot rot against the crates' public API.
+echo "==> cargo test --manifest-path benchmark/Cargo.toml"
+cargo test --manifest-path benchmark/Cargo.toml --offline
+echo "==> benchmark/run.sh --smoke"
+bash benchmark/run.sh --smoke
 
 echo "CI gate passed."
