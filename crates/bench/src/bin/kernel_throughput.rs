@@ -16,11 +16,22 @@
 //! path performs **zero allocations** per dispatch after warm-up, and
 //! that compiling a second batch shape allocates under 1 % of the bytes
 //! the first did (the weight panels belong to the layer, not the plan).
+//!
+//! `--roofline` asks how close the serving products come to the speed
+//! the host can read memory at all. A product at m <= 8 reads every
+//! packed weight once and does almost nothing else, so its ceiling is a
+//! plain vector read loop over a working set of the same size. The
+//! report puts the two side by side: stream-read GB/s (1 thread and
+//! every core at once) and the effective weight GB/s of the pre-packed
+//! f32 product and the i8 product at m in {1, 4, 8}, with the ratio per
+//! row. It also checks inline that the vector kernels still equal their
+//! portable twins bit for bit.
 
 use eugene_bench::{has_flag, host_cores, host_isa, print_table, write_json, HostIsa};
 use eugene_nn::{Layer, StagedNetwork, StagedNetworkConfig};
 use eugene_tensor::{
-    seeded_rng, set_parallelism, set_simd_mode, standard_normal, Matrix, SimdMode,
+    seeded_rng, set_parallelism, set_simd_mode, standard_normal, AlignedVec, Matrix, PackedRhs,
+    QuantizedRhs, SimdMode,
 };
 use serde::Serialize;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -114,6 +125,49 @@ struct FusedServingPoint {
     second_compile_alloc_bytes: u64,
 }
 
+/// Plain vector read bandwidth of the host, the ceiling for a product
+/// that touches every weight once.
+#[derive(Serialize)]
+struct StreamPoint {
+    /// Threads reading at once, each over its own buffer.
+    threads: usize,
+    /// GB/s one thread reads while `threads` run (10^9 bytes).
+    gb_per_s_per_thread: f64,
+}
+
+/// One serving-shaped product against the stream-read ceiling measured
+/// at the same thread count.
+#[derive(Serialize)]
+struct RooflineRow {
+    /// Weight shape `k x n` and batch rows `m`.
+    k: usize,
+    n: usize,
+    m: usize,
+    /// Threads running the product at once, each on pack copies of
+    /// its own.
+    threads: usize,
+    /// Pre-packed f32 product: time per call on one thread, weight
+    /// bytes (`k*n*4`) over that time, and that rate over the stream
+    /// rate.
+    f32_us: f64,
+    f32_gb_per_s: f64,
+    f32_vs_stream: f64,
+    /// The same for the i8 product (`k*n` weight bytes).
+    i8_us: f64,
+    i8_gb_per_s: f64,
+    i8_vs_stream: f64,
+}
+
+#[derive(Serialize)]
+struct Roofline {
+    /// Bytes each stream thread reads per pass, and the least the
+    /// weight copies a product rotates through add up to — larger than
+    /// a core's private caches, as a served model's panels are.
+    working_set_bytes: usize,
+    stream: Vec<StreamPoint>,
+    rows: Vec<RooflineRow>,
+}
+
 #[derive(Serialize)]
 struct KernelThroughputDoc {
     quick: bool,
@@ -127,6 +181,9 @@ struct KernelThroughputDoc {
     /// [`FusedServingPoint`]); absent in docs written before the stage
     /// compiler existed.
     fused: Option<FusedServingPoint>,
+    /// Serving products against the host's stream-read bandwidth (see
+    /// [`Roofline`]); absent in docs written before it was measured.
+    roofline: Option<Roofline>,
 }
 
 fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
@@ -331,8 +388,285 @@ fn report_fused(point: &FusedServingPoint, quick: bool) {
     );
 }
 
+const ROOFLINE_WORKING_SET: usize = 16 << 20;
+const ROOFLINE_SHAPES: [(usize, usize); 3] = [(256, 512), (512, 1024), (1024, 1024)];
+const ROOFLINE_ROWS: [usize; 3] = [1, 4, 8];
+
+/// Sums `buf` with the widest vector loads the host has, eight
+/// independent accumulators deep so the adds never wait on each other.
+fn stream_read(buf: &[f32]) -> f32 {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if eugene_tensor::avx512_available() {
+            // SAFETY: AVX-512F was just detected.
+            return unsafe { stream_read_avx512(buf) };
+        }
+        if eugene_tensor::avx2_fma_available() {
+            // SAFETY: AVX2 was just detected.
+            return unsafe { stream_read_avx2(buf) };
+        }
+    }
+    buf.iter().sum()
+}
+
+/// # Safety
+///
+/// Requires avx512f; `buf` must start 64-byte aligned with a length
+/// that is a multiple of 128.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn stream_read_avx512(buf: &[f32]) -> f32 {
+    use std::arch::x86_64::*;
+    assert!(buf.len().is_multiple_of(128) && (buf.as_ptr() as usize).is_multiple_of(64));
+    let mut acc = [_mm512_setzero_ps(); 8];
+    for chunk in buf.chunks_exact(128) {
+        for (lane, a) in acc.iter_mut().enumerate() {
+            *a = _mm512_add_ps(*a, _mm512_load_ps(chunk.as_ptr().add(lane * 16)));
+        }
+    }
+    let mut sum = acc[0];
+    for a in &acc[1..] {
+        sum = _mm512_add_ps(sum, *a);
+    }
+    _mm512_reduce_add_ps(sum)
+}
+
+/// # Safety
+///
+/// Requires avx2; `buf` must start 32-byte aligned with a length that
+/// is a multiple of 64.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn stream_read_avx2(buf: &[f32]) -> f32 {
+    use std::arch::x86_64::*;
+    assert!(buf.len().is_multiple_of(64) && (buf.as_ptr() as usize).is_multiple_of(32));
+    let mut acc = [_mm256_setzero_ps(); 8];
+    for chunk in buf.chunks_exact(64) {
+        for (lane, a) in acc.iter_mut().enumerate() {
+            *a = _mm256_add_ps(*a, _mm256_load_ps(chunk.as_ptr().add(lane * 8)));
+        }
+    }
+    let mut sum = acc[0];
+    for a in &acc[1..] {
+        sum = _mm256_add_ps(sum, *a);
+    }
+    let mut lanes = [0.0f32; 8];
+    _mm256_storeu_ps(lanes.as_mut_ptr(), sum);
+    lanes.iter().sum()
+}
+
+/// Runs one worker per thread, all released together, and returns the
+/// mean seconds one call took on one thread. `worker(t)` builds thread
+/// `t`'s closure (so it can own a reused output buffer); the closure
+/// gets the call number.
+fn seconds_per_call<W: FnMut(usize)>(
+    threads: usize,
+    quick: bool,
+    worker: impl Fn(usize) -> W + Sync,
+) -> f64 {
+    let target = if quick { 0.02 } else { 0.25 };
+    let barrier = std::sync::Barrier::new(threads);
+    let per_thread: Vec<f64> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let (worker, barrier) = (&worker, &barrier);
+                scope.spawn(move || {
+                    let mut call = worker(t);
+                    call(0); // warm up: page the buffers in
+                    barrier.wait();
+                    let start = Instant::now();
+                    let mut calls = 0usize;
+                    while start.elapsed().as_secs_f64() < target {
+                        calls += 1;
+                        call(calls);
+                    }
+                    start.elapsed().as_secs_f64() / calls as f64
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("roofline thread panicked"))
+            .collect()
+    });
+    per_thread.iter().sum::<f64>() / threads as f64
+}
+
+/// The pre-packed f32 product and the i8 product must equal their
+/// portable twins bit for bit, on a pack sized exactly to its
+/// allocation (where the kernels' prefetch runs past the end).
+fn assert_kernels_match_portable_twins() {
+    let (m, k, n) = (8, 1024, 1024);
+    let x = random_matrix(m, k, 0x51);
+    let w = random_matrix(k, n, 0x52);
+    set_simd_mode(SimdMode::Auto);
+    let mut fast = Matrix::zeros(0, 0);
+    x.matmul_epilogue_into(&w, Some(&w.prepacked_rhs()), None, false, &mut fast);
+    let fast_q = x.matmul_quantized(&w.quantized_rhs());
+    set_simd_mode(SimdMode::ForcePortable);
+    let twin = x.matmul(&w);
+    let twin_q = x.matmul_quantized(&w.quantized_rhs());
+    set_simd_mode(SimdMode::Auto);
+    assert_bitwise(&fast, &twin, "pre-packed f32 product vs portable twin");
+    assert_bitwise(&fast_q, &twin_q, "i8 product vs scalar tier");
+}
+
+fn roofline_bench(quick: bool, host_cores: usize) -> Roofline {
+    set_parallelism(1);
+    set_simd_mode(SimdMode::Auto);
+    assert_kernels_match_portable_twins();
+    // ROADMAP aim 1: no multi-thread number from a host that cannot run
+    // the threads side by side.
+    let thread_counts: Vec<usize> = if host_cores > 1 {
+        vec![1, host_cores]
+    } else {
+        println!("roofline: host has 1 core, refusing the multi-thread column");
+        vec![1]
+    };
+
+    let floats = ROOFLINE_WORKING_SET / 4;
+    let buffers: Vec<AlignedVec<f32>> = (0..host_cores)
+        .map(|t| {
+            let mut buf = AlignedVec::zeroed(floats);
+            buf.as_mut_slice().fill(t as f32 + 0.5);
+            buf
+        })
+        .collect();
+    let stream: Vec<StreamPoint> = thread_counts
+        .iter()
+        .map(|&threads| {
+            let secs = seconds_per_call(threads, quick, |t| {
+                let buf = buffers[t].as_slice();
+                move |_| {
+                    std::hint::black_box(stream_read(std::hint::black_box(buf)));
+                }
+            });
+            StreamPoint {
+                threads,
+                gb_per_s_per_thread: ROOFLINE_WORKING_SET as f64 / secs / 1e9,
+            }
+        })
+        .collect();
+    drop(buffers);
+
+    let mut rows = Vec::new();
+    for &(k, n) in &ROOFLINE_SHAPES {
+        let w = random_matrix(k, n, 0xB0 + n as u64);
+        // A served model's panels do not stay in a core's caches from
+        // one dispatch to the next; rotate through enough copies of the
+        // pack that these do not either. Every thread gets copies of
+        // its own: threads sharing a rotation fall into step, the one
+        // behind reading what the one ahead just pulled in.
+        let copies = |bytes: usize| ROOFLINE_WORKING_SET.div_ceil(bytes).max(2);
+        let (f32_copies, i8_copies) = (copies(k * n * 4), copies(k * n));
+        let packs: Vec<PackedRhs> = (0..f32_copies * host_cores)
+            .map(|_| w.prepacked_rhs())
+            .collect();
+        let qpacks: Vec<QuantizedRhs> = (0..i8_copies * host_cores)
+            .map(|_| w.quantized_rhs())
+            .collect();
+        for &m in &ROOFLINE_ROWS {
+            let x = random_matrix(m, k, 0xC0 + m as u64);
+            for (&threads, ceiling) in thread_counts.iter().zip(&stream) {
+                let (x, w) = (&x, &w);
+                let f32_secs = seconds_per_call(threads, quick, |t| {
+                    let mine = &packs[t * f32_copies..][..f32_copies];
+                    let mut out = Matrix::zeros(0, 0);
+                    move |call| {
+                        let pack = Some(&mine[call % mine.len()]);
+                        x.matmul_epilogue_into(w, pack, None, false, &mut out);
+                        std::hint::black_box(out.as_slice()[0]);
+                    }
+                });
+                let i8_secs = seconds_per_call(threads, quick, |t| {
+                    let mine = &qpacks[t * i8_copies..][..i8_copies];
+                    let mut out = Matrix::zeros(0, 0);
+                    move |call| {
+                        let pack = &mine[call % mine.len()];
+                        x.matmul_quantized_epilogue_into(pack, None, false, &mut out);
+                        std::hint::black_box(out.as_slice()[0]);
+                    }
+                });
+                let f32_gb_per_s = (k * n * 4) as f64 / f32_secs / 1e9;
+                let i8_gb_per_s = (k * n) as f64 / i8_secs / 1e9;
+                rows.push(RooflineRow {
+                    k,
+                    n,
+                    m,
+                    threads,
+                    f32_us: f32_secs * 1e6,
+                    f32_gb_per_s,
+                    f32_vs_stream: f32_gb_per_s / ceiling.gb_per_s_per_thread,
+                    i8_us: i8_secs * 1e6,
+                    i8_gb_per_s,
+                    i8_vs_stream: i8_gb_per_s / ceiling.gb_per_s_per_thread,
+                });
+            }
+        }
+    }
+    set_parallelism(0);
+    Roofline {
+        working_set_bytes: ROOFLINE_WORKING_SET,
+        stream,
+        rows,
+    }
+}
+
+fn report_roofline(roofline: &Roofline) {
+    print_table(
+        "stream read, 16 MiB per thread (load + add)",
+        &["threads", "GB/s per thread"],
+        &roofline
+            .stream
+            .iter()
+            .map(|p| {
+                vec![
+                    format!("{}", p.threads),
+                    format!("{:.2}", p.gb_per_s_per_thread),
+                ]
+            })
+            .collect::<Vec<_>>(),
+    );
+    print_table(
+        "serving products vs stream read (weight bytes / time, per thread)",
+        &[
+            "k x n",
+            "m",
+            "threads",
+            "f32 us",
+            "f32 GB/s",
+            "f32/stream",
+            "i8 us",
+            "i8 GB/s",
+            "i8/stream",
+        ],
+        &roofline
+            .rows
+            .iter()
+            .map(|r| {
+                vec![
+                    format!("{}x{}", r.k, r.n),
+                    format!("{}", r.m),
+                    format!("{}", r.threads),
+                    format!("{:.1}", r.f32_us),
+                    format!("{:.2}", r.f32_gb_per_s),
+                    format!("{:.2}", r.f32_vs_stream),
+                    format!("{:.1}", r.i8_us),
+                    format!("{:.2}", r.i8_gb_per_s),
+                    format!("{:.2}", r.i8_vs_stream),
+                ]
+            })
+            .collect::<Vec<_>>(),
+    );
+}
+
 fn main() {
     let quick = has_flag("--quick");
+    if has_flag("--roofline") {
+        // Report only (plus the inline parity check): no JSON rewrite.
+        report_roofline(&roofline_bench(quick, host_cores()));
+        return;
+    }
     if has_flag("--fused") {
         // Fused-serving gate only: no tier sweep, no JSON rewrite.
         let point = fused_serving_bench(quick);
@@ -460,6 +794,8 @@ fn main() {
     // speedup next to the raw kernel tiers.
     let fused = fused_serving_bench(false);
     report_fused(&fused, false);
+    let roofline = roofline_bench(false, host_cores);
+    report_roofline(&roofline);
     set_simd_mode(SimdMode::Auto);
     set_parallelism(0);
     write_json(
@@ -472,6 +808,7 @@ fn main() {
             threads,
             points,
             fused: Some(fused),
+            roofline: Some(roofline),
         },
     );
 }

@@ -5,9 +5,10 @@
 //! only guarantees the allocator's default alignment, so panels live in
 //! an [`AlignedVec`]: a minimal, dependency-free buffer whose storage is
 //! always aligned to [`AlignedVec::ALIGN`] bytes (64 — one cache line,
-//! enough for AVX-512 and therefore for the 32-byte AVX2 loads the
-//! kernels require today). Every micro-kernel `debug_assert!`s its panel
-//! pointers against [`is_panel_aligned`].
+//! what the AVX-512 kernels' aligned loads need, and therefore enough
+//! for the 32-byte AVX2 loads). Every micro-kernel `debug_assert!`s its
+//! panel pointers: the 512-bit ones against the full line, the 256-bit
+//! ones against [`is_panel_aligned`].
 
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::ptr::NonNull;
@@ -20,6 +21,13 @@ pub const PANEL_ALIGN: usize = 64;
 #[inline]
 pub fn is_panel_aligned<T>(ptr: *const T) -> bool {
     (ptr as usize).is_multiple_of(32)
+}
+
+/// Returns whether `ptr` sits on a [`PANEL_ALIGN`] (64-byte) boundary,
+/// which the 512-bit kernels' aligned B-panel loads fault without.
+#[inline]
+pub(crate) fn is_line_aligned<T>(ptr: *const T) -> bool {
+    (ptr as usize).is_multiple_of(PANEL_ALIGN)
 }
 
 /// A growable, 64-byte-aligned buffer of plain-old-data elements.
@@ -168,6 +176,18 @@ mod tests {
             assert_eq!(v.len(), len);
             v.as_mut_slice().fill(3.0);
             assert!(v.as_slice().iter().all(|&x| x == 3.0));
+        }
+        // The 512-bit kernels load panels *inside* a pack with aligned
+        // 64-byte loads, so every k block and column panel must start on
+        // a line too — also at an odd k (a one-row last k block) and an
+        // n that is no multiple of the panel width.
+        let (k, n) = (257, 70);
+        let weights = vec![0.25f32; k * n];
+        for ptr in crate::PackedRhs::pack(k, n, &weights).panel_ptrs() {
+            assert!(is_line_aligned(ptr), "f32 panel at {ptr:p}");
+        }
+        for ptr in crate::QuantizedRhs::pack(k, n, &weights).panel_ptrs() {
+            assert!(is_line_aligned(ptr), "i8 panel at {ptr:p}");
         }
     }
 

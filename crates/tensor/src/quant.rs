@@ -41,8 +41,10 @@
 //! tier by contract; the analytic error bound in `kernel_properties`
 //! only holds for finite inputs.
 
-use crate::alloc::{is_panel_aligned, AlignedVec};
+use crate::alloc::{is_line_aligned, is_panel_aligned, AlignedVec};
 use crate::kernels::PARALLEL_MIN_FLOPS;
+#[cfg(target_arch = "x86_64")]
+use crate::simd::prefetch_ahead;
 use crate::simd::SimdMode;
 
 /// Columns per packed panel (two 8-lane i32 vectors wide) for the
@@ -54,6 +56,10 @@ const NR_W: usize = 32;
 const MR: usize = 4;
 /// i32 accumulation overflow bound: `k * 255 * 127 < 2^31`.
 const MAX_K: usize = 65536;
+/// How far ahead of the current k quad, in bytes, the VNNI tiles
+/// software-prefetch their B panel — the i8 counterpart of the f32
+/// tier's `PREFETCH_AHEAD_F32`, from the same recorded sweep.
+const PREFETCH_AHEAD_I8: usize = 2048;
 
 /// Which quantized kernel implementation runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -232,6 +238,32 @@ impl QuantizedRhs {
     /// plus packed panels) — for compression reports.
     pub fn packed_bytes(&self) -> usize {
         self.qdata.len() + self.colsums.len() * 4 + self.panels_u8.len() + self.panels_i16.len() * 2
+    }
+
+    /// Where each column panel starts (empty on the scalar tier).
+    #[cfg(test)]
+    pub(crate) fn panel_ptrs(&self) -> Vec<*const u8> {
+        let (base, np, panel_bytes) = match self.tier {
+            QuantTier::Scalar => return Vec::new(),
+            QuantTier::Vnni512 => (
+                self.panels_u8.as_ptr(),
+                self.n.div_ceil(NR_W),
+                self.k.div_ceil(4) * 128,
+            ),
+            QuantTier::VnniAvx => (
+                self.panels_u8.as_ptr(),
+                self.n.div_ceil(NR),
+                self.k.div_ceil(4) * 64,
+            ),
+            QuantTier::MaddAvx2 => (
+                self.panels_i16.as_ptr().cast(),
+                self.n.div_ceil(NR),
+                self.k.div_ceil(2) * 64,
+            ),
+        };
+        (0..np)
+            .map(|p| base.wrapping_add(p * panel_bytes))
+            .collect()
     }
 
     fn build_panels(&mut self) {
@@ -745,7 +777,8 @@ unsafe fn quantize_pack_row_avx512(arow: &[f32], r: usize, buf: *mut u8) -> f32 
 unsafe fn qk4x32_vnni512(apanel: *const u8, kq4: usize, bpanel: *const u8, acc: *mut i32) {
     use std::arch::x86_64::*;
     debug_assert!(is_panel_aligned(apanel));
-    debug_assert!(is_panel_aligned(bpanel));
+    debug_assert!(is_line_aligned(bpanel));
+    debug_assert!(is_line_aligned(acc));
     let mut a00 = _mm512_setzero_si512();
     let mut a01 = _mm512_setzero_si512();
     let mut a10 = _mm512_setzero_si512();
@@ -755,8 +788,12 @@ unsafe fn qk4x32_vnni512(apanel: *const u8, kq4: usize, bpanel: *const u8, acc: 
     let mut a30 = _mm512_setzero_si512();
     let mut a31 = _mm512_setzero_si512();
     for kq in 0..kq4 {
-        let b0 = _mm512_load_si512(bpanel.add(kq * 128) as *const __m512i);
-        let b1 = _mm512_load_si512(bpanel.add(kq * 128 + 64) as *const __m512i);
+        let bk = bpanel.add(kq * 128);
+        // A k quad reads two cache lines.
+        prefetch_ahead(bk, PREFETCH_AHEAD_I8);
+        prefetch_ahead(bk, PREFETCH_AHEAD_I8 + 64);
+        let b0 = _mm512_load_si512(bk as *const __m512i);
+        let b1 = _mm512_load_si512(bk.add(64) as *const __m512i);
         let abase = apanel.add(kq * 16) as *const i32;
         let v0 = _mm512_set1_epi32(abase.read());
         let v1 = _mm512_set1_epi32(abase.add(1).read());
@@ -810,11 +847,14 @@ unsafe fn qk4x32_vnni512_fused(
 ) {
     use std::arch::x86_64::*;
     debug_assert!(is_panel_aligned(apanel));
-    debug_assert!(is_panel_aligned(bpanel));
+    debug_assert!(is_line_aligned(bpanel));
     let mut acc = [[_mm512_setzero_si512(); 2]; MR];
     for kq in 0..kq4 {
-        let b0 = _mm512_load_si512(bpanel.add(kq * 128) as *const __m512i);
-        let b1 = _mm512_load_si512(bpanel.add(kq * 128 + 64) as *const __m512i);
+        let bk = bpanel.add(kq * 128);
+        prefetch_ahead(bk, PREFETCH_AHEAD_I8);
+        prefetch_ahead(bk, PREFETCH_AHEAD_I8 + 64);
+        let b0 = _mm512_load_si512(bk as *const __m512i);
+        let b1 = _mm512_load_si512(bk.add(64) as *const __m512i);
         let abase = apanel.add(kq * 16) as *const i32;
         for (r, row_acc) in acc.iter_mut().enumerate() {
             let v = _mm512_set1_epi32(abase.add(r).read());
@@ -859,8 +899,11 @@ unsafe fn qk4x16_vnni_avx(apanel: *const u8, kq4: usize, bpanel: *const u8, acc:
     let mut a30 = _mm256_setzero_si256();
     let mut a31 = _mm256_setzero_si256();
     for kq in 0..kq4 {
-        let b0 = _mm256_load_si256(bpanel.add(kq * 64) as *const __m256i);
-        let b1 = _mm256_load_si256(bpanel.add(kq * 64 + 32) as *const __m256i);
+        let bk = bpanel.add(kq * 64);
+        // A k quad reads one cache line.
+        prefetch_ahead(bk, PREFETCH_AHEAD_I8);
+        let b0 = _mm256_load_si256(bk as *const __m256i);
+        let b1 = _mm256_load_si256(bk.add(32) as *const __m256i);
         let abase = apanel.add(kq * 16) as *const i32;
         let v0 = _mm256_set1_epi32(abase.read());
         let v1 = _mm256_set1_epi32(abase.add(1).read());
@@ -1014,6 +1057,10 @@ mod tests {
             (3, 257, 31),
             (11, 300, 29),
             (8, 512, 48),
+            // VNNI panels that fill their allocation to the last byte
+            // (checked below): the tiles' prefetch address leaves it in
+            // the last panel.
+            (4, 512, 64),
         ] {
             let lhs = fill(m as u64 * 7 + k as u64, m * k);
             let rhs = fill(n as u64 * 13 + 3, k * n);
@@ -1030,6 +1077,13 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn exactly_sized_case_fills_its_allocation() {
+        // `AlignedVec` rounds capacity up to a power of two.
+        let rhs = QuantizedRhs::pack(512, 64, &fill(9, 512 * 64));
+        assert!(rhs.panels_u8.is_empty() || rhs.panels_u8.len().is_power_of_two());
     }
 
     #[test]

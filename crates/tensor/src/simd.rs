@@ -49,7 +49,7 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-use crate::alloc::{is_panel_aligned, AlignedVec};
+use crate::alloc::{is_line_aligned, is_panel_aligned, AlignedVec};
 
 /// Requested kernel-path policy (the user-facing override knob).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -262,6 +262,27 @@ const NR: usize = 16;
 const MR_W: usize = 8;
 /// AVX-512 micro-kernel column count (two 16-lane vectors).
 const NR_W: usize = 32;
+/// How far ahead of the current k step, in f32 elements, the vector
+/// micro-kernels software-prefetch their B panel. A serving product
+/// (m <= 8) reads every packed weight exactly once, so it runs at the
+/// speed the panels arrive; the hardware streamer restarts at each
+/// 4 KiB page, which a hint this far ahead bridges. Chosen from the
+/// recorded sweep in DESIGN.md ("Streaming weight panels at the memory
+/// roofline").
+const PREFETCH_AHEAD_F32: usize = 512;
+
+/// Hints the cache line `ahead` elements past `ptr` towards L1. The
+/// address is formed with `wrapping_add`: near the end of a pack it
+/// leaves the allocation, which a prefetch may do (it never faults)
+/// and `ptr::add` may not.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+pub(crate) fn prefetch_ahead<T>(ptr: *const T, ahead: usize) {
+    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+    // SAFETY: a prefetch is a hint; it reads nothing and cannot fault,
+    // whatever the address.
+    unsafe { _mm_prefetch::<_MM_HINT_T0>(ptr.wrapping_add(ahead).cast()) }
+}
 
 /// Which fused f32 implementation executes (Portable is the scalar
 /// `mul_add` twin; both vector ISAs compute the identical per-element
@@ -451,6 +472,29 @@ impl PackedRhs {
     #[cfg(target_arch = "x86_64")]
     fn matches(&self, wide: bool, k: usize, n: usize) -> bool {
         self.nr != 0 && self.wide == wide && self.k == k && self.n == n
+    }
+
+    /// Where each panel of each k block starts, by the walk the blocked
+    /// kernel makes (empty on panel-less tiers).
+    #[cfg(test)]
+    pub(crate) fn panel_ptrs(&self) -> Vec<*const f32> {
+        let mut ptrs = Vec::new();
+        if self.nr == 0 {
+            return ptrs;
+        }
+        let np = self.n.div_ceil(self.nr);
+        let (mut kb, mut pre_off) = (0, 0);
+        while kb < self.k {
+            let kc = KC.min(self.k - kb);
+            ptrs.extend((0..np).map(|p| {
+                self.panels
+                    .as_ptr()
+                    .wrapping_add(pre_off + p * kc * self.nr)
+            }));
+            pre_off += np * kc * self.nr;
+            kb += kc;
+        }
+        ptrs
     }
 }
 
@@ -724,7 +768,8 @@ fn pack_a_fused(
 /// bpanel[kc×32]` with `c` rows `stride` elements apart. Sixteen
 /// independent zmm accumulator chains; each output lane sees exactly
 /// one `vfmadd` per k step in ascending order — the same per-element
-/// fold as the AVX2 kernel and the portable twin.
+/// fold as the AVX2 kernel and the portable twin. The B panel is
+/// software-prefetched [`PREFETCH_AHEAD_F32`] elements ahead.
 ///
 /// # Safety
 ///
@@ -741,16 +786,20 @@ unsafe fn micro_kernel_8x32_avx512(
     stride: usize,
 ) {
     use std::arch::x86_64::*;
-    debug_assert!(is_panel_aligned(apanel));
-    debug_assert!(is_panel_aligned(bpanel));
+    debug_assert!(is_line_aligned(apanel));
+    debug_assert!(is_line_aligned(bpanel));
     let mut acc: [[__m512; 2]; MR_W] = [[_mm512_setzero_ps(); 2]; MR_W];
     for (r, row_acc) in acc.iter_mut().enumerate() {
         row_acc[0] = _mm512_loadu_ps(c.add(r * stride));
         row_acc[1] = _mm512_loadu_ps(c.add(r * stride + 16));
     }
     for kk in 0..kc {
-        let b0 = _mm512_load_ps(bpanel.add(kk * NR_W));
-        let b1 = _mm512_load_ps(bpanel.add(kk * NR_W + 16));
+        let bk = bpanel.add(kk * NR_W);
+        // A k step reads two cache lines.
+        prefetch_ahead(bk, PREFETCH_AHEAD_F32);
+        prefetch_ahead(bk, PREFETCH_AHEAD_F32 + 16);
+        let b0 = _mm512_load_ps(bk);
+        let b1 = _mm512_load_ps(bk.add(16));
         for (r, row_acc) in acc.iter_mut().enumerate() {
             let a = _mm512_set1_ps(*apanel.add(kk * MR_W + r));
             row_acc[0] = _mm512_fmadd_ps(a, b0, row_acc[0]);
@@ -804,7 +853,7 @@ unsafe fn micro_kernel_edge_avx512(
 /// bpanel[kc×16]` with `c` rows `stride` elements apart. Eight
 /// independent accumulator chains (4 rows × 2 vectors) hide the FMA
 /// latency; each output lane sees exactly one `vfmaddps` per k step in
-/// ascending order.
+/// ascending order. Prefetches like [`micro_kernel_8x32_avx512`].
 ///
 /// # Safety
 ///
@@ -832,8 +881,11 @@ unsafe fn micro_kernel_4x16_avx2(
     let mut acc30 = _mm256_loadu_ps(c.add(3 * stride));
     let mut acc31 = _mm256_loadu_ps(c.add(3 * stride + 8));
     for kk in 0..kc {
-        let b0 = _mm256_load_ps(bpanel.add(kk * NR));
-        let b1 = _mm256_load_ps(bpanel.add(kk * NR + 8));
+        let bk = bpanel.add(kk * NR);
+        // A k step reads one cache line.
+        prefetch_ahead(bk, PREFETCH_AHEAD_F32);
+        let b0 = _mm256_load_ps(bk);
+        let b1 = _mm256_load_ps(bk.add(8));
         let a0 = _mm256_set1_ps(*apanel.add(kk * MR));
         let a1 = _mm256_set1_ps(*apanel.add(kk * MR + 1));
         let a2 = _mm256_set1_ps(*apanel.add(kk * MR + 2));
@@ -1143,11 +1195,27 @@ mod tests {
     #[test]
     fn prepacked_rhs_matches_on_the_fly_packing_bitwise() {
         let isa = host_isa();
-        for &(m, k, n) in &[(8usize, 512usize, 512usize), (6, 520, 35), (3, 257, 48)] {
+        // `exact`: the panels fill their allocation to the last element
+        // (`AlignedVec` rounds capacity up to a power of two), so in the
+        // last panel of the last k block the kernels' prefetch address
+        // leaves the allocation.
+        for &(m, k, n, exact) in &[
+            (8usize, 512usize, 512usize, true),
+            (1, 1024, 1024, true),
+            (3, 256, 64, true),
+            (6, 520, 35, false),
+            (3, 257, 48, false),
+        ] {
             let lhs = fill(21 + m as u64, m * k);
             let rhs = fill(23 + n as u64, k * n);
             let pack = PackedRhs::pack(k, n, &rhs);
             assert_eq!(pack.shape(), (k, n));
+            if exact && !pack.panels.is_empty() {
+                assert!(
+                    pack.panels.len().is_power_of_two(),
+                    "({k}x{n}) pack was meant to fill its allocation"
+                );
+            }
             let mut plain = vec![0.0f32; m * n];
             gemm_fused(
                 m,

@@ -52,6 +52,14 @@ cargo test -p eugene-tensor -q --offline --test kernel_properties
 echo "==> EUGENE_SIMD=0 cargo test -p eugene-tensor --test kernel_properties -q"
 EUGENE_SIMD=0 cargo test -p eugene-tensor -q --offline --test kernel_properties
 
+# The same contract at the shapes the serving path runs (batches of
+# 1..=9 rows against pre-packed wide weights, f32 and i8, and a plan
+# chain against classify) — fixed seeds, so it also runs in tier-1.
+echo "==> cargo test -p eugene --test kernel_contract -q"
+cargo test -p eugene -q --offline --test kernel_contract
+echo "==> EUGENE_SIMD=0 cargo test -p eugene --test kernel_contract -q"
+EUGENE_SIMD=0 cargo test -p eugene -q --offline --test kernel_contract
+
 # Plan-compiler regressions, named explicitly for the same reason: the
 # op-graph parity proptests (compiled plans bitwise-equal to the layer
 # walk across architectures/batches/precisions/tier flips) and the
@@ -91,6 +99,13 @@ cargo run --release --offline -p eugene-bench --bin kernel_throughput -- --quick
 # floor).
 echo "==> kernel_throughput --fused --quick"
 cargo run --release --offline -p eugene-bench --bin kernel_throughput -- --fused --quick
+
+# Roofline smoke: stream-read bandwidth against the effective weight
+# bandwidth of the serving products. Report only, except that it checks
+# inline that the prefetching kernels equal their portable twins bit for
+# bit on a pack that fills its allocation.
+echo "==> kernel_throughput --roofline --quick"
+cargo run --release --offline -p eugene-bench --bin kernel_throughput -- --roofline --quick
 
 # Idle-connection scaling smoke: both gateway backends hold an idle
 # crowd; asserts the readiness event loop stays on a bounded thread set.
