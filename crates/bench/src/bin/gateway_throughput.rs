@@ -16,13 +16,11 @@
 //! (`max_batch > 1`): same-stage requests gathered within the window fuse
 //! into one stage execution, lifting the saturated ceiling further.
 //!
-//! Finally, the idle-connection scaling curve: both connection-handling
-//! backends hold a growing crowd of idle (handshaken but silent)
-//! connections while the bench records gateway thread count, handshake
-//! latency, and the round-trip time of a live request threaded through
-//! the crowd. The `Blocking` backend spends threads proportional to
-//! connections; the `Readiness` event loop holds ten thousand idle
-//! connections on one thread.
+//! Finally, the idle-connection scaling curve: the gateway holds a
+//! growing crowd of idle (handshaken but silent) connections while the
+//! bench records gateway thread count, handshake latency, and the
+//! round-trip time of a live request threaded through the crowd. The
+//! event loop holds ten thousand idle connections on one thread.
 //!
 //! Last, the shard-scaling curve: the same saturated multiplexed keyed
 //! workload against a `ShardRouter` over N = 1..4 gateway shards, each
@@ -68,9 +66,9 @@
 use eugene_bench::{has_flag, print_table, write_json};
 use eugene_net::wire::{self, Frame, FrameBuffer, PROTOCOL_VERSION};
 use eugene_net::{
-    loadgen, ClassSpec, ClientConfig, EugeneClient, Gateway, GatewayBackend, GatewayConfig,
-    HashRing, LoadReport, LoadgenConfig, LoadgenMode, MultiplexClient, RebalanceConfig,
-    ShardConfig, ShardRouter, SubmitOptions, TenantQuota, TenantSpec,
+    loadgen, ClassSpec, ClientConfig, EugeneClient, Gateway, GatewayConfig, HashRing, LoadReport,
+    LoadgenConfig, LoadgenMode, MultiplexClient, RebalanceConfig, ShardConfig, ShardRouter,
+    SubmitOptions, TenantQuota, TenantSpec,
 };
 use eugene_sched::Fifo;
 use eugene_serve::{
@@ -285,7 +283,6 @@ struct OverloadPoint {
 /// One point of the idle-connection scaling curve.
 #[derive(Serialize)]
 struct IdlePoint {
-    backend: String,
     /// Idle, handshaken connections held open during the measurement.
     idle_connections: usize,
     /// Gateway threads spawned to hold them (runtime workers excluded).
@@ -320,8 +317,7 @@ struct GatewayThroughputDoc {
     /// One-request-per-connection at 64 sockets, for the equal-concurrency
     /// comparison against the depth-64 single-socket point.
     per_connection_64: LoadReport,
-    /// Idle-connection scaling: threads and latency vs idle crowd size,
-    /// per connection-handling backend.
+    /// Idle-connection scaling: threads and latency vs idle crowd size.
     idle_connection_curve: Vec<IdlePoint>,
     /// Shard-scaling: aggregate throughput of the same saturated
     /// multiplexed workload against a ShardRouter over N = 1..4 shards.
@@ -366,10 +362,10 @@ fn handshake(addr: SocketAddr) -> TcpStream {
     }
 }
 
-/// Holds `idle` silent connections against a fresh gateway on `backend`,
-/// measuring handshake latency during the ramp, the gateway's thread
-/// budget, and the round trip of one live request among the crowd.
-fn idle_scenario(backend: GatewayBackend, idle: usize) -> IdlePoint {
+/// Holds `idle` silent connections against a fresh gateway, measuring
+/// handshake latency during the ramp, the gateway's thread budget, and
+/// the round trip of one live request among the crowd.
+fn idle_scenario(idle: usize) -> IdlePoint {
     let engine = Arc::new(FixedCostEngine {
         ramp: vec![0.95],
         stage_time: Duration::ZERO,
@@ -388,14 +384,13 @@ fn idle_scenario(backend: GatewayBackend, idle: usize) -> IdlePoint {
         GatewayConfig {
             high_water: 1_000_000,
             hard_cap: 2_000_000,
-            backend,
             ..GatewayConfig::default()
         },
     )
     .expect("bind loopback gateway");
     let addr = gateway.local_addr();
     let status = gateway.status();
-    println!("idle-{backend:?}: ramping to {idle} idle connections...");
+    println!("idle: ramping to {idle} idle connections...");
 
     let mut connect_us: Vec<u64> = Vec::with_capacity(idle);
     let mut conns = Vec::with_capacity(idle);
@@ -416,7 +411,6 @@ fn idle_scenario(backend: GatewayBackend, idle: usize) -> IdlePoint {
     assert_eq!(outcome.predicted, Some(1));
 
     let point = IdlePoint {
-        backend: format!("{backend:?}"),
         idle_connections: idle,
         gateway_threads: status.threads_spawned(),
         connect_p50_us: pct(0.50),
@@ -428,33 +422,22 @@ fn idle_scenario(backend: GatewayBackend, idle: usize) -> IdlePoint {
     point
 }
 
-/// The idle scaling sweep. The blocking backend spends threads (reader +
-/// dispatchers) per connection, so its curve stops early; readiness runs
-/// to 10k connections — ~20k fds on loopback, hence the rlimit raise,
-/// with the curve clamped to whatever the kernel actually grants.
+/// The idle scaling sweep, to 10k connections — ~20k fds on loopback,
+/// hence the rlimit raise, with the curve clamped to whatever the kernel
+/// actually grants.
 fn idle_sweep(quick: bool) -> Vec<IdlePoint> {
-    let (blocking_points, readiness_points): (Vec<usize>, Vec<usize>) = if quick {
-        (vec![100], vec![100, 2_000])
+    let points: &[usize] = if quick {
+        &[100, 2_000]
     } else {
-        (vec![100, 1_000], vec![100, 1_000, 10_000])
+        &[100, 1_000, 10_000]
     };
-    let want = *readiness_points.last().expect("non-empty") as u64 * 2 + 2_000;
+    let want = *points.last().expect("non-empty") as u64 * 2 + 2_000;
     let granted = eugene_net::reactor::raise_nofile_limit(want);
     let max_idle = (granted.saturating_sub(2_000) / 2) as usize;
-
-    let mut curve = Vec::new();
-    for &n in &blocking_points {
-        if n > max_idle {
-            println!("idle-Blocking: skipping {n} (fd limit allows {max_idle})");
-            continue;
-        }
-        curve.push(idle_scenario(GatewayBackend::Blocking, n));
-    }
-    for &n in &readiness_points {
-        let n = n.min(max_idle);
-        curve.push(idle_scenario(GatewayBackend::Readiness, n));
-    }
-    curve
+    points
+        .iter()
+        .map(|&n| idle_scenario(n.min(max_idle)))
+        .collect()
 }
 
 fn start_gateway(admission: bool, max_batch: usize) -> Gateway {
@@ -1269,7 +1252,6 @@ fn print_idle_table(curve: &[IdlePoint]) {
         .iter()
         .map(|p| {
             vec![
-                p.backend.clone(),
                 p.idle_connections.to_string(),
                 p.gateway_threads.to_string(),
                 format!("{}", p.connect_p50_us),
@@ -1280,14 +1262,7 @@ fn print_idle_table(curve: &[IdlePoint]) {
         .collect();
     print_table(
         "Idle-connection scaling",
-        &[
-            "backend",
-            "idle",
-            "threads",
-            "conn p50us",
-            "conn p99us",
-            "rtt ms",
-        ],
+        &["idle", "threads", "conn p50us", "conn p99us", "rtt ms"],
         &rows,
     );
 }
@@ -1439,21 +1414,19 @@ fn overload_degradation_sweep(quick: bool) -> Vec<OverloadPoint> {
     points
 }
 
-/// The scaling claim the readiness backend exists for: its deepest point
-/// must hold its idle crowd with a bounded thread count and still answer
-/// a live request promptly.
+/// The scaling claim the event loop exists for: its deepest point must
+/// hold its idle crowd on one gateway thread and still answer a live
+/// request promptly.
 fn assert_idle_curve(curve: &[IdlePoint]) {
     let deepest = curve
         .iter()
-        .filter(|p| p.backend == "Readiness")
         .max_by_key(|p| p.idle_connections)
-        .expect("readiness points present");
-    assert!(
-        deepest.gateway_threads < 32,
-        "{} idle connections must be held by a bounded thread set, \
+        .expect("idle points present");
+    assert_eq!(
+        deepest.gateway_threads, 1,
+        "{} idle connections must be held by the single event-loop thread, \
          spawned {}",
-        deepest.idle_connections,
-        deepest.gateway_threads
+        deepest.idle_connections, deepest.gateway_threads
     );
     assert!(
         deepest.request_rtt_ms < 1_000.0,

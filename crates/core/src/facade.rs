@@ -647,14 +647,11 @@ impl Eugene {
     /// flight per connection) or the pipelining
     /// [`eugene_net::MultiplexClient`], which interleaves arbitrarily
     /// many tagged in-flight requests — with per-stage progress streams —
-    /// over a single connection. [`GatewayConfig::backend`] picks the
-    /// connection engine: `Blocking` runs one reader plus a fixed
-    /// dispatcher pool per connection
-    /// ([`GatewayConfig::dispatch_workers`]), `Readiness` serves every
-    /// connection from a single event loop (epoll on Linux) and holds
-    /// tens of thousands of idle connections. Either way no thread is
-    /// ever spawned per request, and [`Gateway::status`] exposes
-    /// admission/accept/thread gauges for monitoring.
+    /// over a single connection. One event loop (epoll on Linux) serves
+    /// every connection and holds tens of thousands of idle ones; no
+    /// thread is ever spawned per connection or per request, and
+    /// [`Gateway::status`] exposes admission/accept/thread gauges for
+    /// monitoring.
     ///
     /// # Errors
     ///
@@ -1038,6 +1035,11 @@ mod tests {
             .unwrap();
         assert_eq!(outcome.stages_executed, 3);
         assert!(outcome.predicted.is_some());
+        assert_eq!(
+            gateway.status().threads_spawned(),
+            1,
+            "the gateway serves from one event-loop thread"
+        );
         gateway.shutdown();
     }
 
@@ -1209,46 +1211,6 @@ mod tests {
         for (i, f32_stages) in f32_answers.iter().enumerate() {
             assert_eq!(&eugene.classify(id, data.sample(i)).unwrap(), f32_stages);
         }
-    }
-
-    /// Same façade entry point, readiness-driven backend: the event-loop
-    /// engine must be a drop-in swap behind `GatewayConfig::backend`.
-    #[test]
-    fn serve_gateway_round_trips_on_the_readiness_backend() {
-        let data = dataset(27, 300);
-        let mut eugene = Eugene::new(28);
-        let id = eugene.train(TrainRequest::quick(&data)).unwrap();
-        let gateway = eugene
-            .serve_gateway(
-                id,
-                &ServeOptions {
-                    scheduler: SchedulerKind::Fifo,
-                    ..ServeOptions::default()
-                },
-                None,
-                eugene_net::GatewayConfig {
-                    backend: eugene_net::GatewayBackend::Readiness,
-                    ..eugene_net::GatewayConfig::default()
-                },
-            )
-            .unwrap();
-        assert_eq!(gateway.backend(), eugene_net::GatewayBackend::Readiness);
-        let mut client = eugene_net::EugeneClient::new(
-            gateway.local_addr(),
-            eugene_net::ClientConfig::default(),
-        )
-        .unwrap();
-        let outcome = client
-            .infer("test", data.sample(0), Duration::from_secs(30))
-            .unwrap();
-        assert_eq!(outcome.stages_executed, 3);
-        assert!(outcome.predicted.is_some());
-        assert_eq!(
-            gateway.status().threads_spawned(),
-            1,
-            "readiness backend serves from one event-loop thread"
-        );
-        gateway.shutdown();
     }
 
     #[test]

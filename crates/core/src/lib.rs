@@ -50,12 +50,12 @@ pub use facade::{
     TrainRequest,
 };
 // Gateway configuration surfaces through the façade's `serve_gateway` /
-// `serve_multi` signatures; re-export it so callers can pick a
-// connection-handling backend, address models, and set tenant quotas
-// without depending on eugene-net directly.
+// `serve_multi` signatures; re-export it so callers can set admission
+// caps, address models, and set tenant quotas without depending on
+// eugene-net directly.
 pub use eugene_net::{
-    FailoverPolicy, Gateway, GatewayBackend, GatewayConfig, RebalanceConfig, ReplicaConfig,
-    ShardConfig, ShardRouter, SubmitOptions, TenantQuota,
+    FailoverPolicy, Gateway, GatewayConfig, RebalanceConfig, ReplicaConfig, ShardConfig,
+    ShardRouter, SubmitOptions, TenantQuota,
 };
 pub use eugene_serve::{
     ModelRegistry, OverloadPolicy, PlanCacheStats, Precision, RegistryError, VariantDispatcher,

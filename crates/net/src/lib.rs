@@ -11,14 +11,15 @@
 //!   with a typed [`wire::Frame`] codec that never panics on malformed or
 //!   truncated input;
 //! - [`server`]: a [`server::Gateway`] — a TCP server that multiplexes
-//!   arbitrarily many in-flight requests per connection: each connection
-//!   gets one reader plus a small bounded dispatcher pool that demuxes
+//!   arbitrarily many in-flight requests per connection from one
+//!   readiness-driven event loop that owns every socket and demuxes
 //!   [`wire::Frame::StageUpdate`]/[`wire::Frame::Final`] frames by
-//!   `client_tag` over a shared frame-atomic writer, while admission
-//!   control atomically reserves an in-flight slot per submit (so
-//!   concurrent submits can never blow past `hard_cap`) and sheds load
-//!   with [`wire::Frame::Reject`] above the high-water mark
-//!   (lowest-utility service classes first);
+//!   `client_tag` into per-connection write queues (a connection whose
+//!   unflushed answers pass a fixed byte cap is not read until its client
+//!   drains them), while admission control atomically reserves an
+//!   in-flight slot per submit (so concurrent submits can never blow past
+//!   `hard_cap`) and sheds load with [`wire::Frame::Reject`] above the
+//!   high-water mark (lowest-utility service classes first);
 //! - [`client`]: a blocking serial [`client::EugeneClient`] plus a
 //!   pipelining [`client::MultiplexClient`] that keeps many tagged
 //!   requests outstanding on one connection; both apply deadline-aware

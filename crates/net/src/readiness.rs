@@ -1,14 +1,14 @@
-//! Readiness-driven gateway backend: one event loop, every socket.
+//! The gateway's connection engine: one event loop, every socket.
 //!
-//! The [`GatewayBackend::Readiness`](crate::server::GatewayBackend)
-//! engine serves all connections from a single thread parked in a
-//! [`Poller`](crate::reactor::Poller) (epoll on Linux, `poll(2)`
-//! elsewhere). Sockets are non-blocking: the loop accepts, handshakes,
-//! reassembles frames through the same [`FrameBuffer`] the blocking
-//! backend uses, and demultiplexes the runtime's shared response and
-//! progress funnels back into per-connection write queues with
-//! backpressure (write interest is enabled only while a queue is
-//! non-empty, so ten thousand idle connections cost zero wakeups).
+//! A [`Gateway`](crate::server::Gateway) serves all connections from a
+//! single thread parked in a [`Poller`](crate::reactor::Poller) (epoll on
+//! Linux, `poll(2)` elsewhere). Sockets are non-blocking: the loop
+//! accepts, handshakes, reassembles frames through a [`FrameBuffer`],
+//! admits submits through [`admit_submit`], and demultiplexes the
+//! runtime's shared response and progress funnels back into
+//! per-connection write queues. Write interest is armed only while a
+//! queue is non-empty, so ten thousand idle connections cost zero
+//! wakeups.
 //!
 //! The registry's completion waker
 //! ([`ModelRegistry::set_completion_waker`]) nudges the loop's wakeup
@@ -16,9 +16,13 @@
 //! progress, so forwarding latency is event-driven end to end — no
 //! polling tick anywhere.
 //!
-//! Admission ([`admit_submit`]), frame encoding, and [`GatewayStatus`]
-//! accounting are shared with the blocking backend: the two engines are
-//! indistinguishable on the wire.
+//! Backpressure runs both ways. Outbound, a queue that the socket will
+//! not take waits for write readiness. Inbound, a connection whose
+//! unflushed answers reach [`WRITE_BACKLOG_CAP`] bytes stops being read
+//! until its client drains them: a client that pipelines frames and
+//! never reads stalls in its own `send` instead of growing the server's
+//! memory without bound. Answers to requests already admitted are always
+//! queued — the cap only delays reading new frames.
 
 use crate::reactor::{self, Interest, Poller};
 use crate::server::{
@@ -47,6 +51,14 @@ const TOKEN_WAKER: usize = 1;
 /// First token handed to an accepted connection.
 const TOKEN_FIRST_CONN: usize = 2;
 
+/// Unflushed outbound bytes at which a connection stops being read.
+///
+/// A constant, not a setting: it bounds the memory one non-reading
+/// client can pin to about this much (plus the frames of the read burst
+/// that crossed it), while a client that reads at all never meets it —
+/// 1 MiB is about 25k `Final` frames queued on one connection.
+const WRITE_BACKLOG_CAP: usize = 1 << 20;
+
 /// One queued outbound frame; `lease` rides along on `Final` frames so
 /// the admission reservation(s) are released exactly when the frame has
 /// been written (or the connection died trying).
@@ -69,6 +81,8 @@ struct Conn {
     write: VecDeque<WriteEntry>,
     /// Bytes of `write.front()` already flushed to the socket.
     write_pos: usize,
+    /// Bytes queued in `write` and not yet flushed.
+    queued_bytes: usize,
     /// Requests admitted on this connection whose `Final` has not yet
     /// been queued.
     in_flight: usize,
@@ -87,15 +101,22 @@ impl Conn {
             reading: true,
             write: VecDeque::new(),
             write_pos: 0,
+            queued_bytes: 0,
             in_flight: 0,
             registered: None,
         }
     }
 
+    /// Whether the loop should pull more frames from this connection:
+    /// it is still reading and its write backlog is under the cap.
+    fn wants_read(&self) -> bool {
+        self.reading && self.queued_bytes < WRITE_BACKLOG_CAP
+    }
+
     /// The interest this connection currently needs from the poller.
     fn wanted_interest(&self) -> Interest {
         Interest {
-            readable: self.reading,
+            readable: self.wants_read(),
             writable: !self.write.is_empty(),
         }
     }
@@ -313,7 +334,7 @@ impl Reactor {
                     }
                     // Bench the listener for one backoff period; the
                     // loop keeps serving established connections
-                    // meanwhile (the blocking backend sleeps here).
+                    // meanwhile.
                     self.status.note_accept_retry();
                     self.accept_retry_at = Some(Instant::now() + self.accept_backoff);
                     self.accept_backoff = (self.accept_backoff * 2).min(ACCEPT_BACKOFF_CAP);
@@ -327,7 +348,7 @@ impl Reactor {
         let Some(conn) = self.conns.get_mut(&token) else {
             return; // already closed this round
         };
-        if (event.readable || event.hangup) && conn.reading {
+        if (event.readable || event.hangup) && conn.wants_read() {
             self.drive_read(token);
         } else if event.hangup {
             // Half-closed connection with nothing left to read: the peer
@@ -345,13 +366,14 @@ impl Reactor {
         dirty.push(token);
     }
 
-    /// Reads and handles every complete frame currently available.
+    /// Reads and handles every complete frame currently available, until
+    /// the write backlog reaches its cap.
     fn drive_read(&mut self, token: usize) {
         loop {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
-            if !conn.reading {
+            if !conn.wants_read() {
                 return;
             }
             match conn.buffer.poll(&mut conn.stream) {
@@ -452,8 +474,9 @@ impl Reactor {
                 return;
             }
         };
-        // Same budget re-anchoring as the blocking backend: remaining
-        // milliseconds against the server clock.
+        // Re-anchor the client's remaining budget on the server clock:
+        // the deadline daemon runs against `now + budget`, so client and
+        // server clocks never need to agree.
         let service_class = ServiceClass::new(&class, Duration::from_millis(budget_ms));
         let request = InferenceRequest::new(payload, service_class);
         let respond_tx = self.respond_tx.clone();
@@ -540,8 +563,10 @@ impl Reactor {
             Frame::Reject { .. } => self.status.note_reject_sent(),
             _ => {}
         }
+        let bytes = wire::encode_frame(frame);
+        conn.queued_bytes += bytes.len();
         conn.write.push_back(WriteEntry {
-            bytes: wire::encode_frame(frame),
+            bytes,
             _lease: lease,
         });
         if self.drive_write(token).is_err() {
@@ -562,6 +587,7 @@ impl Reactor {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
                 Ok(n) => {
                     conn.write_pos += n;
+                    conn.queued_bytes -= n;
                     if conn.write_pos == entry.bytes.len() {
                         conn.write.pop_front(); // drops the slot, if any
                         conn.write_pos = 0;
@@ -575,13 +601,26 @@ impl Reactor {
         Ok(true)
     }
 
-    /// Reconciles poller interest with a connection's current needs, and
-    /// closes connections that have fully drained. Deduplicates `dirty`
-    /// in place (a token may be touched several times per round).
+    /// Reconciles poller interest with a connection's current needs,
+    /// resumes reading on connections whose backlog drained under the
+    /// cap, and closes connections that have fully drained. Deduplicates
+    /// `dirty` in place (a token may be touched several times per round).
     fn settle(&mut self, dirty: &mut Vec<usize>) {
         dirty.sort_unstable();
         dirty.dedup();
         for &token in dirty.iter() {
+            // Wanting to read while the poller holds no read interest
+            // means the cap throttled this connection and has just let
+            // go. Read now rather than on the next readable event: the
+            // frames left in its `FrameBuffer` may be all the client will
+            // ever send.
+            if self
+                .conns
+                .get(&token)
+                .is_some_and(|c| c.wants_read() && c.registered.is_some_and(|have| !have.readable))
+            {
+                self.drive_read(token);
+            }
             if self.conns.get(&token).is_some_and(|c| c.drained()) {
                 self.close_conn(token);
             } else {

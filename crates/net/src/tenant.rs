@@ -92,8 +92,8 @@ struct GovernorInner {
     gauges: Mutex<HashMap<String, Arc<TenantGauges>>>,
 }
 
-/// Cloneable per-tenant admission state shared by a gateway's
-/// connections (both backends) and its stats snapshot.
+/// Cloneable per-tenant admission state shared by a gateway's event
+/// loop and its stats snapshot.
 #[derive(Clone)]
 pub(crate) struct TenantGovernor {
     inner: Arc<GovernorInner>,

@@ -53,8 +53,8 @@ fn handshake(addr: SocketAddr) -> TcpStream {
 /// Regression for the accept loop's old fixed 5ms `WouldBlock` sleep: a
 /// connect against an idle gateway paid up to a full sleep period before
 /// being accepted. Thirty sequential handshakes cost ~75ms of
-/// accumulated sleep under the old loop; with the accept thread parked
-/// in a poller they complete in a few milliseconds total.
+/// accumulated sleep under the old loop; with the event loop parked in a
+/// poller they complete in a few milliseconds total.
 #[test]
 fn idle_gateway_accepts_without_a_sleep_tick() {
     const CONNECTS: usize = 30;
@@ -136,8 +136,8 @@ fn stage_updates_stream_during_execution() {
 
 /// The accept path must stay live while an existing connection is wedged
 /// mid-request: new connections handshake promptly, and once the slow
-/// connection finishes, the gateway's tracked set drains without waiting
-/// for another connect to trigger a reap pass.
+/// connection finishes, the open-connection gauge drains without waiting
+/// for another connect.
 #[test]
 fn accepts_stay_live_while_a_connection_is_wedged() {
     let stage_time = Duration::from_millis(300);
@@ -171,14 +171,13 @@ fn accepts_stay_live_while_a_connection_is_wedged() {
     assert_eq!(outcome.predicted, Some(7));
     drop(client);
 
-    // Exit-driven reaping: connection threads wake the accept loop when
-    // they finish, so the tracked set drains with no further connects.
+    let status = gateway.status();
     let deadline = Instant::now() + Duration::from_secs(5);
-    while gateway.tracked_connections() > 0 {
+    while status.open_connections() > 0 {
         assert!(
             Instant::now() < deadline,
-            "{} connections still tracked after all clients closed",
-            gateway.tracked_connections()
+            "{} connections still open after all clients closed",
+            status.open_connections()
         );
         std::thread::sleep(Duration::from_millis(10));
     }

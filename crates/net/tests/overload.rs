@@ -2,8 +2,7 @@
 //! `OverloadPolicy::Degrade` must answer *every* admitted request with a
 //! usable partial result — no rejects after admission, no empty-handed
 //! expirations, no zero-stage finals — and deliver at least as much
-//! aggregate utility as the kill-based baseline, on both gateway
-//! backends.
+//! aggregate utility as the kill-based baseline.
 //!
 //! The workload is sized so full-depth service is infeasible (offered
 //! rate is twice what the worker pool can run through all stages) but
@@ -14,17 +13,9 @@
 mod common;
 
 use common::start_gateway;
-use eugene_net::{
-    loadgen, ClassSpec, GatewayBackend, GatewayConfig, LoadReport, LoadgenConfig, LoadgenMode,
-};
+use eugene_net::{loadgen, ClassSpec, GatewayConfig, LoadReport, LoadgenConfig, LoadgenMode};
 use eugene_serve::{OverloadPolicy, RuntimeConfig};
-use std::sync::Mutex;
 use std::time::Duration;
-
-/// Serializes the two backend tests: each drives a saturating workload,
-/// and on a small CI box running both at once adds cross-test scheduler
-/// noise to latency margins that are part of the assertions.
-static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Confidence ramp of the staged test engine: concave, so early stages
 /// carry most of the utility — the shape the density scheduler exploits.
@@ -66,25 +57,20 @@ fn runtime_config(overload: OverloadPolicy) -> RuntimeConfig {
 
 /// Admission wide open: overload handling is the runtime's job here, not
 /// the gateway's — nothing may be shed at the door.
-fn wide_open(backend: GatewayBackend) -> GatewayConfig {
+fn wide_open() -> GatewayConfig {
     GatewayConfig {
         high_water: 1_000_000,
         hard_cap: 2_000_000,
-        backend,
-        // Cover the pipelined in-flight depth on the Blocking backend:
-        // otherwise submits queue in the per-connection dispatcher pool
-        // with their budgets burning before the runtime ever sees them.
-        dispatch_workers: 32,
         ..GatewayConfig::default()
     }
 }
 
-fn drive(overload: OverloadPolicy, backend: GatewayBackend, seed: u64) -> LoadReport {
+fn drive(overload: OverloadPolicy, seed: u64) -> LoadReport {
     let gateway = start_gateway(
         RAMP.to_vec(),
         Duration::from_millis(STAGE_MS),
         runtime_config(overload),
-        wide_open(backend),
+        wide_open(),
     );
     let report = loadgen::run(&LoadgenConfig {
         addr: gateway.local_addr().to_string(),
@@ -116,72 +102,48 @@ fn drive(overload: OverloadPolicy, backend: GatewayBackend, seed: u64) -> LoadRe
     report
 }
 
-fn assert_degrades_cleanly(report: &LoadReport, backend: GatewayBackend) {
+fn assert_degrades_cleanly(report: &LoadReport) {
     assert_eq!(
         report.rejected, 0,
-        "[{backend:?}] wide-open admission must not reject: {report:?}"
+        "wide-open admission must not reject: {report:?}"
     );
-    assert_eq!(
-        report.errors, 0,
-        "[{backend:?}] no wire errors expected: {report:?}"
-    );
+    assert_eq!(report.errors, 0, "no wire errors expected: {report:?}");
     assert_eq!(
         report.expired, 0,
-        "[{backend:?}] Degrade mode must convert every would-be kill into \
+        "Degrade mode must convert every would-be kill into \
          an early-exited answer: {report:?}"
     );
     assert_eq!(
         report.zero_stage_finals, 0,
-        "[{backend:?}] every Final must carry at least one executed stage: \
+        "every Final must carry at least one executed stage: \
          {report:?}"
     );
     assert_eq!(
         report.completed, report.requests,
-        "[{backend:?}] every admitted request answered: {report:?}"
+        "every admitted request answered: {report:?}"
     );
     assert!(
         report.degraded > 0,
-        "[{backend:?}] 2x saturation must actually force degradation \
+        "2x saturation must actually force degradation \
          (otherwise this suite is not testing overload): {report:?}"
     );
     assert!(
         report.mean_stages >= 1.0 && report.mean_stages < RAMP.len() as f64,
-        "[{backend:?}] degraded service runs some but not all stages, \
+        "degraded service runs some but not all stages, \
          got mean_stages={}",
         report.mean_stages
     );
 }
 
 #[test]
-fn degrade_mode_answers_everyone_at_twice_saturation_blocking() {
-    let _serial = SERIAL.lock().unwrap();
-    let degrade = drive(OverloadPolicy::Degrade, GatewayBackend::Blocking, 11);
-    assert_degrades_cleanly(&degrade, GatewayBackend::Blocking);
+fn degrade_mode_answers_everyone_at_twice_saturation() {
+    let degrade = drive(OverloadPolicy::Degrade, 13);
+    assert_degrades_cleanly(&degrade);
 
     // Kill baseline on the identical workload: the daemon's kills throw
     // completed stage work away, so delivered utility must not beat the
     // anytime answers.
-    let kill = drive(OverloadPolicy::Kill, GatewayBackend::Blocking, 11);
-    assert!(
-        kill.expired > 0,
-        "kill baseline at 2x saturation must actually kill: {kill:?}"
-    );
-    assert!(
-        degrade.aggregate_utility >= kill.aggregate_utility,
-        "anytime degradation must deliver at least the kill baseline's \
-         utility: degrade={} kill={}",
-        degrade.aggregate_utility,
-        kill.aggregate_utility
-    );
-}
-
-#[test]
-fn degrade_mode_answers_everyone_at_twice_saturation_readiness() {
-    let _serial = SERIAL.lock().unwrap();
-    let degrade = drive(OverloadPolicy::Degrade, GatewayBackend::Readiness, 13);
-    assert_degrades_cleanly(&degrade, GatewayBackend::Readiness);
-
-    let kill = drive(OverloadPolicy::Kill, GatewayBackend::Readiness, 13);
+    let kill = drive(OverloadPolicy::Kill, 13);
     assert!(
         kill.expired > 0,
         "kill baseline at 2x saturation must actually kill: {kill:?}"

@@ -1,13 +1,12 @@
 //! Registry lifecycle over the wire: models load and unload at runtime —
-//! with requests in flight — on both connection backends, and the
-//! unloaded generation's counters survive in the gateway snapshot.
+//! with requests in flight — and the unloaded generation's counters
+//! survive in the gateway snapshot.
 
 mod common;
 
 use common::shard_runtime;
 use eugene_net::{
-    ClientConfig, ClientError, Gateway, GatewayBackend, GatewayConfig, MultiplexClient,
-    RejectReason, SubmitOptions,
+    ClientConfig, ClientError, Gateway, GatewayConfig, MultiplexClient, RejectReason, SubmitOptions,
 };
 use eugene_serve::{ModelRegistry, RuntimeConfig};
 use std::time::{Duration, Instant};
@@ -55,18 +54,13 @@ fn await_submitted(registry: &ModelRegistry, model: &str, n: u64) {
     }
 }
 
-fn lifecycle_with_requests_in_flight(backend: GatewayBackend) {
+#[test]
+fn models_load_and_unload_with_requests_in_flight() {
     let slow = Duration::from_millis(150);
     let registry = ModelRegistry::new("a");
     registry.load("a", shard_runtime(vec![0.95], slow, &fast_runtime()));
-    let gateway = Gateway::start_registry(
-        registry.clone(),
-        GatewayConfig {
-            backend,
-            ..GatewayConfig::default()
-        },
-    )
-    .expect("bind loopback gateway");
+    let gateway = Gateway::start_registry(registry.clone(), GatewayConfig::default())
+        .expect("bind loopback gateway");
     let client = MultiplexClient::new(gateway.local_addr(), one_try()).expect("connect");
 
     // Wedge model "a" with a slow in-flight request.
@@ -118,16 +112,6 @@ fn lifecycle_with_requests_in_flight(backend: GatewayBackend) {
 
     drop(client);
     gateway.shutdown();
-}
-
-#[test]
-fn models_load_and_unload_with_requests_in_flight_on_blocking() {
-    lifecycle_with_requests_in_flight(GatewayBackend::Blocking);
-}
-
-#[test]
-fn models_load_and_unload_with_requests_in_flight_on_readiness() {
-    lifecycle_with_requests_in_flight(GatewayBackend::Readiness);
 }
 
 /// Reloading an existing name swaps generations without dropping the

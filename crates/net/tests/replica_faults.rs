@@ -1,5 +1,5 @@
 //! Fault injection for the *replicated* front tier (the default
-//! `FailoverPolicy::Replay`), run against BOTH gateway backends: shard
+//! `FailoverPolicy::Replay`): shard
 //! death must be invisible to clients — in-flight submits replay to the
 //! warm standby and complete with correct payloads, exactly once — and
 //! live elasticity (`add_shard` / `remove_shard` mid-load) must keep
@@ -12,9 +12,7 @@ mod common;
 
 use common::{shard_runtime, start_router};
 use eugene_net::shard::{ShardConfig, ShardRouter};
-use eugene_net::{
-    ClientConfig, GatewayBackend, GatewayConfig, LoadgenConfig, LoadgenMode, MultiplexClient,
-};
+use eugene_net::{ClientConfig, GatewayConfig, LoadgenConfig, LoadgenMode, MultiplexClient};
 use eugene_serve::RuntimeConfig;
 use std::time::{Duration, Instant};
 
@@ -27,7 +25,7 @@ fn runtime_config() -> RuntimeConfig {
     }
 }
 
-fn shard_config(backend: GatewayBackend) -> ShardConfig {
+fn shard_config() -> ShardConfig {
     ShardConfig {
         // Replay is the ReplicaConfig default; the point of this suite is
         // exercising it, so no override here — a changed default would
@@ -35,20 +33,19 @@ fn shard_config(backend: GatewayBackend) -> ShardConfig {
         gateway: GatewayConfig {
             high_water: 1_000_000,
             hard_cap: 2_000_000,
-            backend,
             ..GatewayConfig::default()
         },
         ..ShardConfig::default()
     }
 }
 
-fn start(shards: usize, stage_time: Duration, backend: GatewayBackend) -> ShardRouter {
+fn start(shards: usize, stage_time: Duration) -> ShardRouter {
     start_router(
         shards,
         RAMP.to_vec(),
         stage_time,
         runtime_config(),
-        shard_config(backend),
+        shard_config(),
     )
 }
 
@@ -92,13 +89,14 @@ fn loadgen_config(addr: String, total: usize, seed: u64) -> LoadgenConfig {
 // client-visible anything.
 // ---------------------------------------------------------------------
 
-fn kill_mid_flight_is_invisible_to_clients(backend: GatewayBackend) {
+#[test]
+fn kill_mid_flight_is_invisible_to_clients() {
     const SHARDS: usize = 3;
     const IN_FLIGHT: usize = 8;
     const VICTIM: usize = 1;
     // Slow stages so the victim's requests are reliably still staged when
     // the shard dies.
-    let router = start(SHARDS, Duration::from_millis(150), backend);
+    let router = start(SHARDS, Duration::from_millis(150));
     let client = MultiplexClient::new(router.local_addr(), ClientConfig::default()).unwrap();
 
     let victim_key = key_on_shard(&router, VICTIM);
@@ -162,16 +160,6 @@ fn kill_mid_flight_is_invisible_to_clients(backend: GatewayBackend) {
     router.shutdown();
 }
 
-#[test]
-fn kill_mid_flight_is_invisible_to_clients_blocking() {
-    kill_mid_flight_is_invisible_to_clients(GatewayBackend::Blocking);
-}
-
-#[test]
-fn kill_mid_flight_is_invisible_to_clients_readiness() {
-    kill_mid_flight_is_invisible_to_clients(GatewayBackend::Readiness);
-}
-
 // ---------------------------------------------------------------------
 // Regression: the reroute/kill race. Killing a shard while submits are
 // being written used to double-answer (in-line retry + reader sweep both
@@ -185,7 +173,7 @@ fn repeated_kill_revive_never_double_answers() {
     const ROUNDS: usize = 100;
     const PER_ROUND: usize = 4;
     const VICTIM: usize = 0;
-    let router = start(2, Duration::from_millis(1), GatewayBackend::Blocking);
+    let router = start(2, Duration::from_millis(1));
     let client = MultiplexClient::new(router.local_addr(), ClientConfig::default()).unwrap();
     let victim_key = key_on_shard(&router, VICTIM);
 
@@ -241,7 +229,7 @@ fn repeated_kill_revive_never_double_answers() {
 fn revive_republishes_only_after_accept_health() {
     const REVIVALS: usize = 20;
     const VICTIM: usize = 0;
-    let router = start(2, Duration::from_millis(1), GatewayBackend::Blocking);
+    let router = start(2, Duration::from_millis(1));
     let client = MultiplexClient::new(
         router.local_addr(),
         ClientConfig {
@@ -291,7 +279,7 @@ fn revive_republishes_only_after_accept_health() {
 #[test]
 fn old_connections_reach_a_revived_shard_first_try() {
     const VICTIM: usize = 0;
-    let router = start(2, Duration::from_millis(1), GatewayBackend::Blocking);
+    let router = start(2, Duration::from_millis(1));
     // max_attempts 1: reuse of a stale upstream must fail the test, not
     // burn a silent retry.
     let client = MultiplexClient::new(
@@ -346,10 +334,11 @@ fn old_connections_reach_a_revived_shard_first_try() {
 // errors, zero deadline misses — every request completed.
 // ---------------------------------------------------------------------
 
-fn loadgen_through_kill_is_zero_error(backend: GatewayBackend) {
+#[test]
+fn loadgen_through_kill_is_zero_error() {
     const SHARDS: usize = 3;
     const TOTAL: usize = 300;
-    let router = start(SHARDS, Duration::from_millis(1), backend);
+    let router = start(SHARDS, Duration::from_millis(1));
     let config = loadgen_config(router.local_addr().to_string(), TOTAL, 23);
 
     let run = std::thread::spawn(move || eugene_net::loadgen::run(&config));
@@ -368,16 +357,6 @@ fn loadgen_through_kill_is_zero_error(backend: GatewayBackend) {
     router.shutdown();
 }
 
-#[test]
-fn loadgen_through_kill_is_zero_error_blocking() {
-    loadgen_through_kill_is_zero_error(GatewayBackend::Blocking);
-}
-
-#[test]
-fn loadgen_through_kill_is_zero_error_readiness() {
-    loadgen_through_kill_is_zero_error(GatewayBackend::Readiness);
-}
-
 // ---------------------------------------------------------------------
 // Live elasticity under load: scale out (add_shard) and back in
 // (remove_shard) mid-run. With single-attempt clients every request must
@@ -385,10 +364,11 @@ fn loadgen_through_kill_is_zero_error_readiness() {
 // the drain protocol finishes the removed shard's work.
 // ---------------------------------------------------------------------
 
-fn live_scale_out_and_in_under_load(backend: GatewayBackend) {
+#[test]
+fn live_scale_out_and_in_under_load() {
     const SHARDS: usize = 2;
     const TOTAL: usize = 400;
-    let router = start(SHARDS, Duration::from_millis(1), backend);
+    let router = start(SHARDS, Duration::from_millis(1));
     let config = loadgen_config(router.local_addr().to_string(), TOTAL, 41);
     let epoch_start = router.ring_epoch();
 
@@ -427,14 +407,4 @@ fn live_scale_out_and_in_under_load(backend: GatewayBackend) {
         Some(newcomer)
     );
     router.shutdown();
-}
-
-#[test]
-fn live_scale_out_and_in_under_load_blocking() {
-    live_scale_out_and_in_under_load(GatewayBackend::Blocking);
-}
-
-#[test]
-fn live_scale_out_and_in_under_load_readiness() {
-    live_scale_out_and_in_under_load(GatewayBackend::Readiness);
 }

@@ -9,7 +9,7 @@ mod common;
 
 use common::start_router;
 use eugene_net::shard::ShardConfig;
-use eugene_net::{GatewayBackend, GatewayConfig, HashRing};
+use eugene_net::HashRing;
 use eugene_serve::RuntimeConfig;
 use proptest::prelude::*;
 use std::time::Duration;
@@ -273,20 +273,17 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Restart determinism at the router level, on both gateway backends: two
+// Restart determinism at the router level: two
 // independently-booted routers with the same ShardConfig seed agree on
 // the full key→shard map (the property the ring tests prove, observed
 // through the public ShardRouter surface).
 // ---------------------------------------------------------------------
 
-fn routers_agree_across_restart(backend: GatewayBackend) {
+#[test]
+fn routers_agree_across_restart() {
     let config = || ShardConfig {
         seed: 0x5EED,
         virtual_nodes: 64,
-        gateway: GatewayConfig {
-            backend,
-            ..GatewayConfig::default()
-        },
         ..ShardConfig::default()
     };
     let runtime = RuntimeConfig {
@@ -304,14 +301,4 @@ fn routers_agree_across_restart(backend: GatewayBackend) {
         map, remap,
         "router restart with the same seed must not remap"
     );
-}
-
-#[test]
-fn routers_agree_across_restart_blocking() {
-    routers_agree_across_restart(GatewayBackend::Blocking);
-}
-
-#[test]
-fn routers_agree_across_restart_readiness() {
-    routers_agree_across_restart(GatewayBackend::Readiness);
 }

@@ -1,5 +1,4 @@
-//! Fault injection for the sharded front tier, run against BOTH gateway
-//! backends (mirroring `readiness.rs`): shard death must be a
+//! Fault injection for the sharded front tier: shard death must be a
 //! well-defined event — in-flight requests on the dead shard answer
 //! `ShardLost`, new sessions re-admit onto survivors, nothing ever
 //! hangs — and revival must restore the exact prior key assignment.
@@ -10,8 +9,7 @@ use common::{shard_runtime, start_router};
 use eugene_net::shard::{FailoverPolicy, ReplicaConfig, ShardConfig, ShardRouter};
 use eugene_net::wire::RejectReason;
 use eugene_net::{
-    ClientConfig, ClientError, GatewayBackend, GatewayConfig, LoadgenConfig, LoadgenMode,
-    MultiplexClient,
+    ClientConfig, ClientError, GatewayConfig, LoadgenConfig, LoadgenMode, MultiplexClient,
 };
 use eugene_serve::RuntimeConfig;
 use std::time::{Duration, Instant};
@@ -25,7 +23,7 @@ fn runtime_config() -> RuntimeConfig {
     }
 }
 
-fn shard_config(backend: GatewayBackend) -> ShardConfig {
+fn shard_config() -> ShardConfig {
     ShardConfig {
         // This suite pins the legacy pre-replication contract: shard
         // death answers in-flight tags with ShardLost (the transparent
@@ -37,20 +35,19 @@ fn shard_config(backend: GatewayBackend) -> ShardConfig {
         gateway: GatewayConfig {
             high_water: 1_000_000,
             hard_cap: 2_000_000,
-            backend,
             ..GatewayConfig::default()
         },
         ..ShardConfig::default()
     }
 }
 
-fn start(shards: usize, stage_time: Duration, backend: GatewayBackend) -> ShardRouter {
+fn start(shards: usize, stage_time: Duration) -> ShardRouter {
     start_router(
         shards,
         RAMP.to_vec(),
         stage_time,
         runtime_config(),
-        shard_config(backend),
+        shard_config(),
     )
 }
 
@@ -66,10 +63,11 @@ fn key_on_shard(router: &ShardRouter, shard: usize) -> u64 {
 // is served by exactly the shard the ring names.
 // ---------------------------------------------------------------------
 
-fn keys_spread_over_all_shards(backend: GatewayBackend) {
+#[test]
+fn keys_spread_over_all_shards() {
     const SHARDS: usize = 3;
     const KEYS: u64 = 48;
-    let router = start(SHARDS, Duration::from_millis(1), backend);
+    let router = start(SHARDS, Duration::from_millis(1));
     let client = MultiplexClient::new(router.local_addr(), ClientConfig::default()).unwrap();
     let mut expected = vec![0u64; SHARDS];
     let pending: Vec<_> = (0..KEYS)
@@ -113,28 +111,19 @@ fn keys_spread_over_all_shards(backend: GatewayBackend) {
     router.shutdown();
 }
 
-#[test]
-fn keys_spread_over_all_shards_blocking() {
-    keys_spread_over_all_shards(GatewayBackend::Blocking);
-}
-
-#[test]
-fn keys_spread_over_all_shards_readiness() {
-    keys_spread_over_all_shards(GatewayBackend::Readiness);
-}
-
 // ---------------------------------------------------------------------
 // Kill mid-flight: staged sessions on the victim get ShardLost, new
 // sessions land on survivors, revival restores the assignment.
 // ---------------------------------------------------------------------
 
-fn kill_mid_flight_rejects_in_flight_and_reroutes_new(backend: GatewayBackend) {
+#[test]
+fn kill_mid_flight_rejects_in_flight_and_reroutes_new() {
     const SHARDS: usize = 3;
     const IN_FLIGHT: usize = 8;
     const VICTIM: usize = 1;
     // Slow stages so the victim's requests are reliably still staged when
     // the shard dies.
-    let router = start(SHARDS, Duration::from_millis(150), backend);
+    let router = start(SHARDS, Duration::from_millis(150));
     let client = MultiplexClient::new(router.local_addr(), ClientConfig::default()).unwrap();
 
     let victim_key = key_on_shard(&router, VICTIM);
@@ -229,26 +218,17 @@ fn kill_mid_flight_rejects_in_flight_and_reroutes_new(backend: GatewayBackend) {
     router.shutdown();
 }
 
-#[test]
-fn kill_mid_flight_rejects_in_flight_and_reroutes_new_blocking() {
-    kill_mid_flight_rejects_in_flight_and_reroutes_new(GatewayBackend::Blocking);
-}
-
-#[test]
-fn kill_mid_flight_rejects_in_flight_and_reroutes_new_readiness() {
-    kill_mid_flight_rejects_in_flight_and_reroutes_new(GatewayBackend::Readiness);
-}
-
 // ---------------------------------------------------------------------
 // Loadgen under a mid-run kill: the run terminates with every request
 // accounted for (completed / rejected / expired / errors), zero hangs,
 // and bounded tail latency.
 // ---------------------------------------------------------------------
 
-fn loadgen_completes_through_a_kill(backend: GatewayBackend) {
+#[test]
+fn loadgen_completes_through_a_kill() {
     const SHARDS: usize = 3;
     const TOTAL: usize = 300;
-    let router = start(SHARDS, Duration::from_millis(1), backend);
+    let router = start(SHARDS, Duration::from_millis(1));
     let addr = router.local_addr().to_string();
     let config = LoadgenConfig {
         addr,
@@ -309,23 +289,13 @@ fn loadgen_completes_through_a_kill(backend: GatewayBackend) {
     router.shutdown();
 }
 
-#[test]
-fn loadgen_completes_through_a_kill_blocking() {
-    loadgen_completes_through_a_kill(GatewayBackend::Blocking);
-}
-
-#[test]
-fn loadgen_completes_through_a_kill_readiness() {
-    loadgen_completes_through_a_kill(GatewayBackend::Readiness);
-}
-
 // ---------------------------------------------------------------------
 // Router-level protocol details that a single gateway also guarantees.
 // ---------------------------------------------------------------------
 
 #[test]
 fn router_answers_pings_locally() {
-    let router = start(2, Duration::from_millis(1), GatewayBackend::Blocking);
+    let router = start(2, Duration::from_millis(1));
     let client = MultiplexClient::new(router.local_addr(), ClientConfig::default()).unwrap();
     let rtt = client.ping(Duration::from_secs(5)).expect("pong");
     assert!(rtt < Duration::from_secs(5));
@@ -334,7 +304,7 @@ fn router_answers_pings_locally() {
 
 #[test]
 fn all_shards_dead_yields_shard_lost_not_a_hang() {
-    let router = start(2, Duration::from_millis(1), GatewayBackend::Blocking);
+    let router = start(2, Duration::from_millis(1));
     let client = MultiplexClient::new(router.local_addr(), ClientConfig::default()).unwrap();
     // Prove the tier serves, then take every shard down.
     client

@@ -1,20 +1,18 @@
-//! Stage-level gather buckets for the micro-batching executor.
+//! Stage-level gather buckets: the coordinator's one dispatch path.
 //!
-//! When [`crate::RuntimeConfig::max_batch`] is above one, the coordinator
-//! parks schedulable tasks here instead of dispatching them one at a
-//! time. Tasks waiting at the same stage index accumulate in a bucket; a
-//! bucket is flushed to a worker as one fused stage execution when any of
-//! these hold:
+//! The coordinator parks every schedulable task here. Tasks waiting at
+//! the same stage index accumulate in a bucket; a bucket is flushed to a
+//! worker as one batched stage execution when any of these hold:
 //!
-//! - it is **full** (`max_batch` members);
+//! - it is **full** ([`crate::RuntimeConfig::max_batch`] members — with
+//!   the default of one, every bucket is full as soon as it exists);
 //! - its **gather window** has elapsed since the oldest member arrived;
 //! - a member is **deadline-urgent** (flushing immediately is the only
 //!   way it can still make progress before the deadline daemon kills it —
 //!   gathering never delays the daemon itself, which fires regardless);
 //! - there are **no potential joiners**: nothing parked or running could
 //!   reach this stage, so waiting out the window would buy latency and no
-//!   occupancy. A bucket of one flushed this way is the batch-of-one fast
-//!   path — it dispatches through the plain per-session stage call.
+//!   occupancy.
 //!
 //! Buckets never own sessions — members are request ids, and the
 //! coordinator prunes ids whose task was killed or finalized mid-gather,

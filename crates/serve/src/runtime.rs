@@ -66,8 +66,8 @@ pub struct RuntimeConfig {
     /// Poll interval of the deadline daemon.
     pub daemon_poll: Duration,
     /// Maximum requests fused into one batched stage execution. `1` (the
-    /// default) disables micro-batching entirely and preserves the
-    /// one-request-per-worker dispatch path.
+    /// default) dispatches every stage alone: a gather bucket is full at
+    /// one member, so nothing ever waits for peers.
     pub max_batch: usize,
     /// How long a schedulable request may wait in a gather bucket for
     /// same-stage peers before its batch is flushed regardless (see
@@ -107,10 +107,10 @@ type Submission = (
 );
 /// One task's stage outcome: `(id, session, report, panicked)`.
 type StageOutcome = (RequestId, Box<dyn EngineSession>, Option<StageReport>, bool);
-/// One worker job's outcomes — a single task, or a whole fused batch.
+/// One worker job's outcomes: one per member of the dispatched batch.
 type JobDone = Vec<StageOutcome>;
-/// One gathered member handed to the fused dispatcher: `(id, session,
-/// private progress channel)`.
+/// One gathered member handed to [`dispatch`]: `(id, session, private
+/// progress channel)`.
 type BatchMember = (
     RequestId,
     Box<dyn EngineSession>,
@@ -398,8 +398,9 @@ fn coordinator_loop(
     let daemon = DeadlineDaemon::start(config.daemon_poll);
     let (done_tx, done_rx) = unbounded::<JobDone>();
     let mut tasks: HashMap<RequestId, ActiveTask> = HashMap::new();
-    let batching = config.max_batch > 1;
-    let mut buckets = GatherBuckets::new(config.max_batch.max(1), config.gather_window);
+    // `max_batch == 0` asks for no fusion, the same as 1.
+    let max_batch = config.max_batch.max(1);
+    let mut buckets = GatherBuckets::new(max_batch, config.gather_window);
     // Online per-stage confidence profile: the Δutility half of the
     // utility-density ordering.
     let mut profile = ConfidenceProfile::new(engine.num_stages());
@@ -656,145 +657,95 @@ fn coordinator_loop(
             nudge();
         }
 
-        // 5. Schedule parked tasks onto free workers — directly when
-        // batching is off, through the gather buckets when it is on.
-        let free = config.num_workers.saturating_sub(busy_jobs);
-        if batching {
-            buckets.prune(|id| {
-                tasks
-                    .get(&id)
-                    .is_some_and(|t| !t.killed && !t.panicked && !t.degraded)
-            });
-            // The scheduler may claim one batch worth of slots per worker
-            // — including busy ones, so buckets keep filling while every
-            // worker is occupied (that backlog is where fusion under
-            // overload comes from) — minus what is already claimed.
-            let capacity = (config.num_workers * config.max_batch)
-                .saturating_sub(buckets.total_gathered() + running_tasks);
-            if capacity > 0 {
-                let now = Instant::now();
-                for picked in pick_schedulable(
-                    &mut scheduler,
-                    &tasks,
-                    capacity,
-                    &config,
-                    &profile,
-                    &cost,
-                    &precisions,
-                ) {
-                    if let Some(task) = tasks.get_mut(&picked) {
-                        task.gathering = true;
-                        buckets.add(task.observed.len(), picked, now);
-                    }
-                }
-            }
-            let mut free_now = free;
-            while free_now > 0 {
-                let now = Instant::now();
-                let popped = buckets.pop_ready(
-                    now,
-                    |id| {
-                        tasks.get(&id).is_some_and(|t| {
-                            // A gathered request is deadline-urgent once
-                            // its remaining budget is within one gather
-                            // window of its estimated next-stage cost:
-                            // waiting longer risks the daemon killing it
-                            // before the stage even dispatches.
-                            let next = t.observed.len();
-                            let margin = urgent_margin(
-                                cost.estimate_precision_ms(next, precision_at(&precisions, next)),
-                                config.gather_window,
-                            );
-                            t.deadline.saturating_duration_since(now) <= margin
-                        })
-                    },
-                    |stage| potential_joiners(&tasks, stage),
-                );
-                let Some((_, members)) = popped else {
-                    break;
-                };
-                let mut batch = Vec::with_capacity(members.len());
-                for (id, wait) in members {
-                    let Some(task) = tasks.get_mut(&id) else {
-                        continue;
-                    };
-                    task.gathering = false;
-                    if task.killed || task.panicked || task.degraded {
-                        continue;
-                    }
-                    let Some(session) = task.session.take() else {
-                        continue;
-                    };
-                    task.running_stage = Some(task.observed.len());
-                    task.dispatched_at = Some(now);
-                    stats.note_gather_wait(wait);
-                    batch.push((id, session, task.progress.clone()));
-                }
-                if batch.is_empty() {
-                    continue;
-                }
-                stats.note_batch_dispatch(batch.len());
-                busy_jobs += 1;
-                running_tasks += batch.len();
-                free_now -= 1;
-                if batch.len() == 1 {
-                    // Batch-of-one fast path: plain per-session dispatch.
-                    let (id, session, private_tx) = batch.pop().expect("one member");
-                    dispatch_single(
-                        &pool,
-                        id,
-                        session,
-                        private_tx,
-                        pipe.sender(),
-                        &done_tx,
-                        Arc::clone(&waker),
-                    );
-                } else {
-                    dispatch_batch(
-                        &pool,
-                        Arc::clone(&engine),
-                        batch,
-                        pipe.sender(),
-                        &done_tx,
-                        Arc::clone(&waker),
-                    );
-                }
-            }
-        } else if free > 0 {
-            let mut dispatched = 0;
+        // 5. Schedule parked tasks onto free workers through the gather
+        // buckets. With `max_batch == 1` every bucket is full at one
+        // member and `capacity <= free`, so every pick dispatches alone in
+        // this same pass.
+        buckets.prune(|id| {
+            tasks
+                .get(&id)
+                .is_some_and(|t| !t.killed && !t.panicked && !t.degraded)
+        });
+        // The scheduler may claim one batch worth of slots per worker —
+        // including busy ones, so buckets keep filling while every worker
+        // is occupied (that backlog is where fusion under overload comes
+        // from) — minus what is already claimed.
+        let capacity = (config.num_workers * max_batch)
+            .saturating_sub(buckets.total_gathered() + running_tasks);
+        if capacity > 0 {
+            let now = Instant::now();
             for picked in pick_schedulable(
                 &mut scheduler,
                 &tasks,
-                free,
+                capacity,
                 &config,
                 &profile,
                 &cost,
                 &precisions,
             ) {
-                if dispatched >= free {
-                    break;
+                if let Some(task) = tasks.get_mut(&picked) {
+                    task.gathering = true;
+                    buckets.add(task.observed.len(), picked, now);
                 }
-                let Some(task) = tasks.get_mut(&picked) else {
+            }
+        }
+        let mut free = config.num_workers.saturating_sub(busy_jobs);
+        while free > 0 {
+            let now = Instant::now();
+            let popped = buckets.pop_ready(
+                now,
+                |id| {
+                    tasks.get(&id).is_some_and(|t| {
+                        // A gathered request is deadline-urgent once its
+                        // remaining budget is within one gather window of
+                        // its estimated next-stage cost: waiting longer
+                        // risks the daemon killing it before the stage
+                        // even dispatches.
+                        let next = t.observed.len();
+                        let margin = urgent_margin(
+                            cost.estimate_precision_ms(next, precision_at(&precisions, next)),
+                            config.gather_window,
+                        );
+                        t.deadline.saturating_duration_since(now) <= margin
+                    })
+                },
+                |stage| potential_joiners(&tasks, stage),
+            );
+            let Some((_, members)) = popped else {
+                break;
+            };
+            let mut batch = Vec::with_capacity(members.len());
+            for (id, wait) in members {
+                let Some(task) = tasks.get_mut(&id) else {
                     continue;
                 };
+                task.gathering = false;
+                if task.killed || task.panicked || task.degraded {
+                    continue;
+                }
                 let Some(session) = task.session.take() else {
                     continue;
                 };
                 task.running_stage = Some(task.observed.len());
-                task.dispatched_at = Some(Instant::now());
-                busy_jobs += 1;
-                running_tasks += 1;
-                dispatched += 1;
-                dispatch_single(
-                    &pool,
-                    picked,
-                    session,
-                    task.progress.clone(),
-                    pipe.sender(),
-                    &done_tx,
-                    Arc::clone(&waker),
-                );
+                task.dispatched_at = Some(now);
+                stats.note_gather_wait(wait);
+                batch.push((id, session, task.progress.clone()));
             }
+            if batch.is_empty() {
+                continue;
+            }
+            stats.note_batch_dispatch(batch.len());
+            busy_jobs += 1;
+            running_tasks += batch.len();
+            free -= 1;
+            dispatch(
+                &pool,
+                Arc::clone(&engine),
+                batch,
+                pipe.sender(),
+                &done_tx,
+                Arc::clone(&waker),
+            );
         }
 
         // 6. Publish occupancy, exit when drained, otherwise pace the loop.
@@ -982,54 +933,10 @@ fn potential_joiners(tasks: &HashMap<RequestId, ActiveTask>, stage: usize) -> us
         .count()
 }
 
-/// Executes one task's next stage on the pool — the only dispatch path
-/// when batching is off, and the batch-of-one fast path when it is on.
-fn dispatch_single(
-    pool: &WorkerPool,
-    id: RequestId,
-    mut session: Box<dyn EngineSession>,
-    private_tx: Option<Sender<StageProgress>>,
-    progress_tx: Sender<StageProgress>,
-    done_tx: &Sender<JobDone>,
-    waker: WakerCell,
-) {
-    let done_tx = done_tx.clone();
-    pool.execute(move || {
-        // A panicking engine must not wedge the coordinator: catch it,
-        // return the session, and flag the task.
-        let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.next_stage()));
-        let entry = match outcome {
-            Ok(report) => {
-                if let Some(r) = report {
-                    let event = StageProgress {
-                        request_id: id,
-                        stage: session.stages_done().saturating_sub(1),
-                        confidence: r.confidence,
-                        predicted: r.predicted,
-                    };
-                    if let Some(private_tx) = &private_tx {
-                        let _ = private_tx.send(event.clone());
-                        // A private progress consumer may be parked in a
-                        // poller rather than a blocking recv: nudge it.
-                        if let Some(nudge) = current_waker(&waker) {
-                            nudge();
-                        }
-                    }
-                    let _ = progress_tx.send(event);
-                }
-                (id, session, report, false)
-            }
-            Err(_) => (id, session, None, true),
-        };
-        let _ = done_tx.send(vec![entry]);
-    });
-}
-
-/// Executes one fused batch on the pool via the engine's
-/// [`InferenceEngine::next_stage_batch`], scattering per-session reports
-/// back as individual stage outcomes.
-fn dispatch_batch(
+/// Executes one gathered batch (one to `max_batch` members) on the pool
+/// via the engine's [`InferenceEngine::next_stage_batch`], scattering
+/// per-session reports back as individual stage outcomes.
+fn dispatch(
     pool: &WorkerPool,
     engine: Arc<dyn InferenceEngine>,
     batch: Vec<BatchMember>,
@@ -1078,7 +985,7 @@ fn dispatch_batch(
                         (id, session, report, false)
                     })
                     .collect();
-                // One nudge covers every private send in the fused batch.
+                // One nudge covers every private send in the batch.
                 if nudge_needed {
                     if let Some(nudge) = current_waker(&waker) {
                         nudge();
@@ -1086,8 +993,9 @@ fn dispatch_batch(
                 }
                 entries
             }
-            // A panic inside a fused stage poisons the whole batch: every
-            // member finalizes as killed with whatever it already had.
+            // A panic inside a batched stage poisons the whole batch:
+            // every member finalizes as killed with whatever it already
+            // had.
             Err(_) => ids
                 .into_iter()
                 .zip(sessions)
@@ -1126,6 +1034,11 @@ mod tests {
         assert_eq!(response.predicted, Some(3));
         assert_eq!(response.confidence, Some(0.9));
         assert!(!response.expired);
+        // `max_batch == 1` dispatches through the same gather path: each
+        // stage is a batch of one.
+        let stats = rt.stats();
+        assert_eq!(stats.singleton_dispatches(), 3);
+        assert_eq!(stats.fused_batches(), 0);
         rt.shutdown();
     }
 
@@ -1336,7 +1249,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_of_one_takes_the_singleton_fast_path() {
+    fn lone_request_never_waits_to_be_fused() {
         let config = RuntimeConfig {
             num_workers: 2,
             max_batch: 4,

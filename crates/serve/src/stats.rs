@@ -23,7 +23,8 @@ struct Gauges {
     completed: AtomicU64,
     running: AtomicUsize,
     queued: AtomicUsize,
-    // Micro-batching gauges (all zero when max_batch == 1).
+    // Micro-batching gauges (only `singleton_dispatches` and the gather
+    // wait move when max_batch == 1).
     fused_batches: AtomicU64,
     batched_stages: AtomicU64,
     peak_batch: AtomicUsize,
@@ -88,8 +89,8 @@ impl RuntimeStats {
         self.inner.peak_batch.load(Ordering::Relaxed)
     }
 
-    /// Gather buckets flushed with a single member — the batch-of-one
-    /// fast path that skips the fused executor entirely.
+    /// Gather buckets flushed with a single member: every stage of a
+    /// `max_batch == 1` runtime, and lone requests of a batching one.
     pub fn singleton_dispatches(&self) -> u64 {
         self.inner.singleton_dispatches.load(Ordering::Relaxed)
     }

@@ -7,10 +7,10 @@
 //! Every data frame on the wire carries a `client_tag`; `MultiplexClient`
 //! allocates a fresh tag per submit and a background reader routes each
 //! `StageUpdate`/`Final`/`Reject` to the matching `PendingInference`.
-//! Server-side, each connection gets one reader plus a small fixed
-//! dispatcher pool — never a thread per request — and admission reserves
-//! in-flight slots atomically, so the hard cap holds even with the whole
-//! burst in flight at once.
+//! Server-side, one event loop serves every connection — never a thread
+//! per connection or per request — and admission reserves in-flight
+//! slots atomically, so the hard cap holds even with the whole burst in
+//! flight at once.
 //!
 //! Run: `cargo run --release --example multiplexed_pipelining`
 

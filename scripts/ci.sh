@@ -20,24 +20,26 @@ echo "==> cargo test --workspace -q"
 cargo test --workspace -q --offline
 
 # Leak/multiplexing regressions, named explicitly so a future test-file
-# rename cannot silently drop them from the gate: connection-churn handle
-# reaping, >=64 interleaved in-flight tags on one connection, the
-# readiness-backend parity suite, the event-driven latency bounds (no
-# accept sleep, no dispatcher forwarding tick), the shard fault-injection
-# suite (ShardLost on kill under the legacy Reject policy, survivors keep
-# serving, both backends), the replica fault suite (transparent replay on
-# kill, exactly-once answers across 100x kill/revive races, revive
-# ordering, generation-keyed upstreams, live add/remove under load, both
-# backends), the consistent-hash ring property suite (bounded remap,
-# exact restore, restart determinism, replica placement, double-routing
+# rename cannot silently drop them from the gate: >=64 interleaved
+# in-flight tags on one connection, the event loop's connection lifecycle
+# (churn drains closed sockets, an idle crowd on one thread), the
+# event-driven latency bounds (no accept sleep, no forwarding tick), the
+# shard fault-injection suite (ShardLost on kill under the legacy Reject
+# policy, survivors keep serving), the replica fault suite (transparent
+# replay on kill, exactly-once answers across 100x kill/revive races,
+# revive ordering, generation-keyed upstreams, live add/remove under
+# load), the consistent-hash ring property suite (bounded remap, exact
+# restore, restart determinism, replica placement, double-routing
 # windows), the registry lifecycle suite (load/unload with requests in
-# flight, both backends), and the per-tenant admission suite (hard caps,
-# weighted fair shedding), and the overload degradation suite (2x
-# saturation in Degrade mode: zero rejects after admission, every Final
-# carries >=1 stage, utility beats the kill baseline, both backends).
-echo "==> cargo test -p eugene-net --test churn --test multiplex --test stale_frames --test readiness --test latency --test shard_faults --test replica_faults --test ring_properties --test registry_lifecycle --test tenants --test overload -q"
+# flight), the per-tenant admission suite (hard caps, weighted fair
+# shedding), and the overload degradation suite (2x saturation in
+# Degrade mode: zero rejects after admission, every Final carries >=1
+# stage, utility beats the kill baseline). The gateway's own contract
+# (hard cap under a pipelined burst, drain on shutdown, read
+# backpressure) runs in the root crate's tier-1 `tests/gateway_contract.rs`.
+echo "==> cargo test -p eugene-net --test multiplex --test stale_frames --test readiness --test latency --test shard_faults --test replica_faults --test ring_properties --test registry_lifecycle --test tenants --test overload -q"
 cargo test -p eugene-net -q --offline \
-  --test churn --test multiplex --test stale_frames --test readiness --test latency \
+  --test multiplex --test stale_frames --test readiness --test latency \
   --test shard_faults --test replica_faults --test ring_properties --test registry_lifecycle \
   --test tenants --test overload
 
@@ -107,8 +109,8 @@ cargo run --release --offline -p eugene-bench --bin kernel_throughput -- --fused
 echo "==> kernel_throughput --roofline --quick"
 cargo run --release --offline -p eugene-bench --bin kernel_throughput -- --roofline --quick
 
-# Idle-connection scaling smoke: both gateway backends hold an idle
-# crowd; asserts the readiness event loop stays on a bounded thread set.
+# Idle-connection scaling smoke: the gateway holds an idle crowd;
+# asserts the event loop holds it on a single thread.
 echo "==> gateway_throughput --quick --idle"
 cargo run --release --offline -p eugene-bench --bin gateway_throughput -- --quick --idle
 
