@@ -1297,7 +1297,7 @@ fn overload_policy_scenario(
     // The Degrade deployment admits everything and lets the runtime
     // early-exit what it cannot finish; the Kill baseline sheds at the
     // door (same marks as the admission-control scenario) and the
-    // deadline daemon kills whatever slips through and runs late.
+    // runtime kills whatever slips through and runs past its deadline.
     let (high_water, hard_cap) = match policy {
         OverloadPolicy::Degrade => (1_000_000, 2_000_000),
         OverloadPolicy::Kill => (32, 96),

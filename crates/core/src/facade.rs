@@ -634,7 +634,6 @@ impl Eugene {
                 gather_window: options.gather_window,
                 overload: options.overload,
                 queue_high_water: options.queue_high_water,
-                ..RuntimeConfig::default()
             },
             StageCostModel::from_priors(priors),
         ))

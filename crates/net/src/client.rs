@@ -121,7 +121,7 @@ pub struct InferenceOutcome {
     pub confidence: Option<f32>,
     /// Stages the runtime executed.
     pub stages_executed: u32,
-    /// Whether the server's deadline daemon killed the request.
+    /// Whether the server killed the request at its deadline.
     pub expired: bool,
     /// Whether the runtime force-exited the request at an earlier stage
     /// under overload (anytime degradation); the answer is usable.

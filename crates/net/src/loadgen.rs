@@ -137,7 +137,7 @@ pub struct LoadReport {
     /// the sharded front tier could not place on any shard. Zero under
     /// transparent failover — the replica-fault suites gate on it.
     pub rejected_shard_lost: u64,
-    /// Requests answered but killed by the server's deadline daemon.
+    /// Requests answered but killed at their server-side deadline.
     pub expired: u64,
     /// Requests answered with a degraded (anytime early-exit) result:
     /// usable, counted in `completed`, but shallower than asked.

@@ -475,7 +475,7 @@ impl Reactor {
             }
         };
         // Re-anchor the client's remaining budget on the server clock:
-        // the deadline daemon runs against `now + budget`, so client and
+        // the runtime enforces the deadline as `now + budget`, so client and
         // server clocks never need to agree.
         let service_class = ServiceClass::new(&class, Duration::from_millis(budget_ms));
         let request = InferenceRequest::new(payload, service_class);

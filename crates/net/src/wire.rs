@@ -136,7 +136,7 @@ pub struct WireResponse {
     pub confidence: Option<f32>,
     /// Stages that completed before answer/deadline/early-exit.
     pub stages_executed: u32,
-    /// Whether the deadline daemon killed the request.
+    /// Whether the runtime killed the request at its deadline.
     pub expired: bool,
     /// Server-side latency in microseconds.
     pub latency_us: u64,

@@ -140,7 +140,7 @@ fn degrade_mode_answers_everyone_at_twice_saturation() {
     let degrade = drive(OverloadPolicy::Degrade, 13);
     assert_degrades_cleanly(&degrade);
 
-    // Kill baseline on the identical workload: the daemon's kills throw
+    // Kill baseline on the identical workload: deadline kills throw
     // completed stage work away, so delivered utility must not beat the
     // anytime answers.
     let kill = drive(OverloadPolicy::Kill, 13);

@@ -142,10 +142,6 @@ fn abandoned_deadline_leaves_the_pipeline_usable() {
         Duration::from_millis(25),
         RuntimeConfig {
             num_workers: 2,
-            // Slow deadline daemon: the server's expired Final for the
-            // abandoned request arrives well after the client gave up,
-            // so the "late Final counts as stale" path is deterministic.
-            daemon_poll: Duration::from_millis(100),
             ..RuntimeConfig::default()
         },
         GatewayConfig {
@@ -157,8 +153,12 @@ fn abandoned_deadline_leaves_the_pipeline_usable() {
     let client =
         MultiplexClient::new(gateway.local_addr(), ClientConfig::default()).expect("resolve");
 
-    // 3 stages x 25ms ≈ 75ms of work against a 15ms budget: the client
-    // gives up long before the server's answer can arrive.
+    // 3 stages x 25ms ≈ 75ms of work against a 15ms client budget: the
+    // client gives up before the server's answer can arrive. That makes
+    // the "late Final counts as stale" path deterministic: the server
+    // kills the request at the same 15ms, but the kill cannot interrupt
+    // a running stage, so its expired Final leaves no earlier than the
+    // first stage's 25ms.
     let result = client
         .submit("impatient", &[5.0], Duration::from_millis(15), false)
         .expect("submit")

@@ -10,7 +10,7 @@ pub struct ClassUsage {
     pub requests: u64,
     /// Stage executions consumed.
     pub stages_executed: u64,
-    /// Requests the deadline daemon killed.
+    /// Requests answered `expired` (killed at their deadline).
     pub expired: u64,
     /// Requests that exited early on confidence.
     pub early_exits: u64,

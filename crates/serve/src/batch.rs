@@ -8,8 +8,9 @@
 //!   the default of one, every bucket is full as soon as it exists);
 //! - its **gather window** has elapsed since the oldest member arrived;
 //! - a member is **deadline-urgent** (flushing immediately is the only
-//!   way it can still make progress before the deadline daemon kills it —
-//!   gathering never delays the daemon itself, which fires regardless);
+//!   way it can still make progress before its deadline kills it —
+//!   gathering never delays the kill itself, which the coordinator's
+//!   deadline check applies to gathered tasks too);
 //! - there are **no potential joiners**: nothing parked or running could
 //!   reach this stage, so waiting out the window would buy latency and no
 //!   occupancy.

@@ -9,17 +9,16 @@
 //! daemon process will send a signal to stop the current computation."
 //!
 //! This crate reproduces that architecture with threads standing in for
-//! processes and channels standing in for named pipes:
+//! processes and channels standing in for named pipes. The coordinator
+//! thread plays both the scheduler and the daemon: workers send every
+//! stage result back on its one completion channel, and each coordinator
+//! pass kills whatever is past its deadline.
 //!
 //! - [`WorkerPool`]: a fixed pool of worker threads executing stage jobs;
-//! - [`ConfidencePipe`]: the stage-progress channel from workers back to
-//!   the scheduler loop;
-//! - [`DeadlineDaemon`]: a monitor thread that fires kill signals for
-//!   tasks that exceed their latency constraint;
 //! - [`ServingRuntime`]: the coordinator gluing a staged model
 //!   ([`InferenceEngine`]), a stage scheduler
-//!   ([`eugene_sched::Scheduler`]), the pool, the pipe, and the daemon
-//!   into a request/response service;
+//!   ([`eugene_sched::Scheduler`]) and the pool into a request/response
+//!   service, with optional per-request [`StageProgress`] streams;
 //! - [`ServiceClass`]: per-class latency constraints (the paper's §V
 //!   extension: "the scheduler ... needs to be modified to support
 //!   multiple service classes");
@@ -34,9 +33,7 @@
 
 mod accounting;
 mod batch;
-mod daemon;
 mod engine;
-mod pipe;
 mod pool;
 mod registry;
 mod request;
@@ -44,12 +41,10 @@ mod runtime;
 mod stats;
 
 pub use accounting::{ClassUsage, PricingModel, UsageLedger};
-pub use daemon::DeadlineDaemon;
 pub use engine::{EngineSession, InferenceEngine, PlanCacheStats, StageReport};
 pub use eugene_profiler::{Precision, StageCostModel};
-pub use pipe::{ConfidencePipe, StageProgress};
 pub use pool::WorkerPool;
 pub use registry::{ModelRegistry, RegistryError, VariantDispatcher, DEFAULT_MODEL};
-pub use request::{InferenceRequest, InferenceResponse, RequestId, ServiceClass};
+pub use request::{InferenceRequest, InferenceResponse, RequestId, ServiceClass, StageProgress};
 pub use runtime::{CompletionWaker, OverloadPolicy, RuntimeConfig, ServingRuntime};
 pub use stats::{ModelBreakdown, RuntimeStats, StatsSnapshot, TenantBreakdown};

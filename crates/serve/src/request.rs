@@ -81,7 +81,7 @@ pub struct InferenceResponse {
     pub confidence: Option<f32>,
     /// Number of stages executed before the answer was returned.
     pub stages_executed: usize,
-    /// Whether the deadline daemon interrupted the task.
+    /// Whether the task missed its deadline (or its engine panicked).
     pub expired: bool,
     /// Whether the runtime force-exited the request at an earlier stage
     /// than its confidence threshold asked for (anytime degradation under
@@ -97,6 +97,21 @@ impl InferenceResponse {
     pub fn is_answered(&self) -> bool {
         self.predicted.is_some()
     }
+}
+
+/// One finished stage of one request, streamed to a submitter that asked
+/// for private progress (see `ServingRuntime::submit_with_progress`) —
+/// the payload that crossed the paper's "named pipe in linux".
+#[derive(Debug, Clone, PartialEq)]
+pub struct StageProgress {
+    /// Which request progressed.
+    pub request_id: RequestId,
+    /// 0-based index of the stage that just finished.
+    pub stage: usize,
+    /// Updated classification confidence.
+    pub confidence: f32,
+    /// Updated predicted class.
+    pub predicted: usize,
 }
 
 #[cfg(test)]

@@ -1,8 +1,7 @@
 use crate::batch::GatherBuckets;
 use crate::{
-    ConfidencePipe, DeadlineDaemon, EngineSession, InferenceEngine, InferenceRequest,
-    InferenceResponse, RequestId, RuntimeStats, StageProgress, StageReport, UsageLedger,
-    WorkerPool,
+    EngineSession, InferenceEngine, InferenceRequest, InferenceResponse, RequestId, RuntimeStats,
+    StageProgress, StageReport, UsageLedger, WorkerPool,
 };
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use eugene_profiler::{Precision, StageCostModel};
@@ -31,14 +30,15 @@ fn current_waker(cell: &WakerCell) -> Option<CompletionWaker> {
 /// request's partial result usable, which turns overload handling into a
 /// choice:
 ///
-/// - [`OverloadPolicy::Kill`] (the historical behavior): the deadline
-///   daemon interrupts the task and the response is flagged `expired` —
-///   the request "missed" even though stages may have completed.
+/// - [`OverloadPolicy::Kill`] (the historical behavior): the coordinator
+///   kills the task at its deadline and the response is flagged
+///   `expired` — the request "missed" even though stages may have
+///   completed.
 /// - [`OverloadPolicy::Degrade`]: the runtime schedules ready stage-work
 ///   by marginal utility density (estimated Δconfidence of the next
 ///   stage, from the online confidence profile, divided by its Δtime,
 ///   from the [`StageCostModel`]) and an overload controller force-exits
-///   requests at earlier stages — before the daemon would kill them —
+///   requests at earlier stages — before their deadline would kill them —
 ///   whenever the next stage no longer fits the remaining budget or the
 ///   parked queue grows past `queue_high_water`. A deadline kill that
 ///   still arrives is converted into an early exit whenever at least one
@@ -63,8 +63,6 @@ pub struct RuntimeConfig {
     /// the service refrains "from executing additional layers" (§II-E).
     /// `1.0` effectively disables early exit.
     pub confidence_threshold: f32,
-    /// Poll interval of the deadline daemon.
-    pub daemon_poll: Duration,
     /// Maximum requests fused into one batched stage execution. `1` (the
     /// default) dispatches every stage alone: a gather bucket is full at
     /// one member, so nothing ever waits for peers.
@@ -72,8 +70,9 @@ pub struct RuntimeConfig {
     /// How long a schedulable request may wait in a gather bucket for
     /// same-stage peers before its batch is flushed regardless (see
     /// `crate::batch` for the full flush rules). Only meaningful when
-    /// `max_batch > 1`. Gathering never delays the deadline daemon: an
-    /// expiring request is killed and finalized mid-gather.
+    /// `max_batch > 1`. Gathering never delays a deadline: the coordinator
+    /// checks every task each pass, so an expiring request is killed and
+    /// finalized mid-gather.
     pub gather_window: Duration,
     /// How deadline pressure resolves: kill (report `expired`) or degrade
     /// (force an earlier exit and report a usable partial answer).
@@ -90,7 +89,6 @@ impl Default for RuntimeConfig {
         Self {
             num_workers: 4,
             confidence_threshold: 1.0,
-            daemon_poll: Duration::from_millis(1),
             max_batch: 1,
             gather_window: Duration::from_millis(1),
             overload: OverloadPolicy::Kill,
@@ -117,27 +115,29 @@ type BatchMember = (
     Option<Sender<StageProgress>>,
 );
 
-/// The live serving coordinator (paper §III-C).
-///
-/// A coordinator thread owns the task table and the scheduler; stage
-/// executions are dispatched to a [`WorkerPool`], progress flows back over
-/// the [`ConfidencePipe`], and a [`DeadlineDaemon`] kills tasks that
-/// exceed their service class's latency constraint. Killed tasks return
-/// the result of their last completed stage (or a starvation response if
-/// no stage ran) and their worker "is returned to the pool".
-///
-/// # Examples
-///
-/// See `examples/serving_pipeline.rs` at the repository root.
 /// Process-wide request-id source. Ids must be unique across *all*
 /// runtimes, not just within one: a model registry funnels many
 /// runtimes' responses into shared channels that demultiplex by id, so
 /// per-runtime counters would collide.
 static NEXT_REQUEST_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
+/// The live serving coordinator (paper §III-C).
+///
+/// One coordinator thread owns the task table and the scheduler and is
+/// the runtime's only clock: stage executions are dispatched to a
+/// [`WorkerPool`], every stage result comes back on the coordinator's
+/// completion channel, and each coordinator pass kills the tasks that
+/// exceeded their service class's latency constraint (the paper's
+/// deadline daemon). Killed tasks return the result of their last
+/// completed stage (or a starvation response if no stage ran) and their
+/// worker "is returned to the pool". A runtime is that one thread plus
+/// `num_workers` workers.
+///
+/// # Examples
+///
+/// See `examples/serving_pipeline.rs` at the repository root.
 pub struct ServingRuntime {
     submit_tx: Option<Sender<Submission>>,
-    progress_rx: Receiver<StageProgress>,
     ledger: UsageLedger,
     stats: RuntimeStats,
     waker: WakerCell,
@@ -184,8 +184,6 @@ impl ServingRuntime {
     ) -> Self {
         assert!(config.num_workers > 0, "need at least one worker");
         let (submit_tx, submit_rx) = unbounded::<Submission>();
-        let pipe = ConfidencePipe::new();
-        let progress_rx = pipe.receiver().clone();
         let ledger = UsageLedger::new();
         let stats = RuntimeStats::new();
         let waker: WakerCell = Arc::new(Mutex::new(None));
@@ -198,14 +196,13 @@ impl ServingRuntime {
                 .name("eugene-coordinator".to_owned())
                 .spawn(move || {
                     coordinator_loop(
-                        engine, scheduler, config, cost, submit_rx, pipe, ledger, stats, waker,
+                        engine, scheduler, config, cost, submit_rx, ledger, stats, waker,
                     )
                 })
                 .expect("spawn coordinator")
         };
         Self {
             submit_tx: Some(submit_tx),
-            progress_rx,
             ledger,
             stats,
             waker,
@@ -250,10 +247,9 @@ impl ServingRuntime {
     /// Submits a request and additionally returns a private per-request
     /// stage-progress channel, closed once the final response is sent.
     ///
-    /// Unlike [`ServingRuntime::progress_events`] — a single shared feed
-    /// of every task's progress — the returned receiver only carries this
-    /// request's stage reports, so a caller (e.g. a network gateway
-    /// streaming partial results) needs no demultiplexing.
+    /// The returned receiver only carries this request's stage reports,
+    /// so a caller (e.g. a network gateway streaming partial results)
+    /// needs no demultiplexing.
     ///
     /// # Panics
     ///
@@ -317,12 +313,6 @@ impl ServingRuntime {
         self.stats.clone()
     }
 
-    /// Per-stage progress events (the confidence-pipe read end), for
-    /// observability.
-    pub fn progress_events(&self) -> &Receiver<StageProgress> {
-        &self.progress_rx
-    }
-
     /// The per-service-class usage ledger (paper SV: resource accounting
     /// per class, the input to a pricing structure).
     pub fn usage_ledger(&self) -> &UsageLedger {
@@ -358,7 +348,7 @@ struct ActiveTask {
     last: Option<StageReport>,
     started: Instant,
     deadline: Instant,
-    /// The deadline daemon fired for this task.
+    /// The deadline passed before the task's work was done.
     killed: bool,
     /// A stage panicked inside the engine; always finalizes as expired.
     panicked: bool,
@@ -382,6 +372,16 @@ struct ActiveTask {
     progress: Option<Sender<StageProgress>>,
 }
 
+impl ActiveTask {
+    /// Every stage ran, or the last one was confident enough to exit.
+    fn work_done(&self, confidence_threshold: f32) -> bool {
+        self.observed.len() >= self.num_stages
+            || self
+                .last
+                .is_some_and(|r| r.confidence >= confidence_threshold)
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn coordinator_loop(
     engine: Arc<dyn InferenceEngine>,
@@ -389,13 +389,11 @@ fn coordinator_loop(
     config: RuntimeConfig,
     mut cost: StageCostModel,
     submit_rx: Receiver<Submission>,
-    pipe: ConfidencePipe,
     ledger: UsageLedger,
     stats: RuntimeStats,
     waker: WakerCell,
 ) {
     let pool = WorkerPool::new(config.num_workers);
-    let daemon = DeadlineDaemon::start(config.daemon_poll);
     let (done_tx, done_rx) = unbounded::<JobDone>();
     let mut tasks: HashMap<RequestId, ActiveTask> = HashMap::new();
     // `max_batch == 0` asks for no fusion, the same as 1.
@@ -426,7 +424,6 @@ fn coordinator_loop(
                     let session = engine.begin(&request.payload);
                     let now = Instant::now();
                     let deadline = now + request.class.deadline();
-                    daemon.register(id, deadline);
                     tasks.insert(
                         id,
                         ActiveTask {
@@ -456,12 +453,11 @@ fn coordinator_loop(
             }
         }
 
-        // 2. Collect finished jobs — deliberately *before* draining kill
-        // signals, so a request that completed right at its deadline is
-        // observed as complete and the racing kill is recognized as stale.
-        // A stage that panicked inside the engine marks its task so it
-        // finalizes with whatever it had, rather than deadlocking the
-        // runtime.
+        // 2. Collect finished jobs — deliberately *before* the deadline
+        // check, so a request that completed right at its deadline is
+        // observed as complete rather than killed. A stage that panicked
+        // inside the engine marks its task so it finalizes with whatever
+        // it had, rather than deadlocking the runtime.
         while let Ok(entries) = done_rx.try_recv() {
             busy_jobs -= 1;
             for (id, session, report, panicked) in entries {
@@ -491,46 +487,32 @@ fn coordinator_loop(
             }
         }
 
-        // 3. Apply kill signals from the deadline daemon. A signal whose
-        // task already finished — deregistered a moment ago (absent from
-        // the table), or parked with its answer already complete — raced
-        // the completion and is swallowed rather than counted as a kill.
-        while let Ok(id) = daemon.kill_signals().try_recv() {
-            match tasks.get_mut(&id) {
-                None => stats.note_stale_kill_swallowed(),
-                Some(task) => {
-                    let complete = task.session.is_some()
-                        && (task.observed.len() >= task.num_stages
-                            || task
-                                .last
-                                .is_some_and(|r| r.confidence >= config.confidence_threshold));
-                    if complete || task.degraded {
-                        stats.note_stale_kill_swallowed();
-                    } else {
-                        task.killed = true;
-                    }
-                }
+        // 3. Enforce deadlines (the paper's deadline daemon): kill every
+        // task past its deadline unless it is already killed, degraded, or
+        // parked with its work done — a completion that beat this check
+        // finalizes as answered below. A running task is marked too; it
+        // finalizes once its stage returns.
+        let now = Instant::now();
+        for task in tasks.values_mut() {
+            let complete = task.session.is_some() && task.work_done(config.confidence_threshold);
+            if task.deadline <= now && !task.killed && !task.degraded && !complete {
+                task.killed = true;
             }
         }
 
         // 3b. Overload controller (Degrade mode): force-exit requests at
-        // an earlier stage *before* the deadline daemon has to kill them —
-        // when the estimated next stage no longer fits the remaining
-        // budget, and, under queue pressure, the lowest-utility-density
-        // parked requests that already hold a partial answer.
+        // an earlier stage *before* their deadline kills them — when the
+        // estimated next stage no longer fits the remaining budget, and,
+        // under queue pressure, the lowest-utility-density parked requests
+        // that already hold a partial answer.
         if config.overload == OverloadPolicy::Degrade {
-            let now = Instant::now();
             let mut parked_depth = 0usize;
             for task in tasks.values_mut() {
                 if task.session.is_none() || task.killed || task.panicked || task.degraded {
                     continue;
                 }
                 // Already complete: it finalizes this very iteration.
-                if task.observed.len() >= task.num_stages
-                    || task
-                        .last
-                        .is_some_and(|r| r.confidence >= config.confidence_threshold)
-                {
+                if task.work_done(config.confidence_threshold) {
                     continue;
                 }
                 parked_depth += 1;
@@ -584,9 +566,7 @@ fn coordinator_loop(
                     && (t.killed
                         || t.panicked
                         || t.degraded
-                        || t.observed.len() >= t.num_stages
-                        || t.last
-                            .is_some_and(|r| r.confidence >= config.confidence_threshold))
+                        || t.work_done(config.confidence_threshold))
             })
             .map(|(&id, _)| id)
             .collect();
@@ -598,7 +578,6 @@ fn coordinator_loop(
         };
         for id in finished {
             let task = tasks.remove(&id).expect("task present");
-            daemon.deregister(id);
             // Degrade mode turns a deadline kill into an early exit
             // whenever at least one stage completed: the partial answer is
             // the paper's imprecise-computation result, not a miss. A
@@ -606,10 +585,7 @@ fn coordinator_loop(
             // as does any engine panic; a kill that raced *full*
             // completion (only visible once the running stage returned)
             // cut nothing short and is swallowed as stale.
-            let fully_done = task.observed.len() >= task.num_stages
-                || task
-                    .last
-                    .is_some_and(|r| r.confidence >= config.confidence_threshold);
+            let fully_done = task.work_done(config.confidence_threshold);
             let (expired, degraded) = if task.panicked {
                 (true, false)
             } else if task.degraded || (task.killed && config.overload == OverloadPolicy::Degrade) {
@@ -699,7 +675,7 @@ fn coordinator_loop(
                         // A gathered request is deadline-urgent once its
                         // remaining budget is within one gather window of
                         // its estimated next-stage cost: waiting longer
-                        // risks the daemon killing it before the stage
+                        // risks its deadline killing it before the stage
                         // even dispatches.
                         let next = t.observed.len();
                         let margin = urgent_margin(
@@ -742,7 +718,6 @@ fn coordinator_loop(
                 &pool,
                 Arc::clone(&engine),
                 batch,
-                pipe.sender(),
                 &done_tx,
                 Arc::clone(&waker),
             );
@@ -757,7 +732,6 @@ fn coordinator_loop(
     }
     stats.set_occupancy(0, 0);
     pool.shutdown();
-    daemon.shutdown();
 }
 
 /// Online per-stage confidence profile: the running mean of the
@@ -940,7 +914,6 @@ fn dispatch(
     pool: &WorkerPool,
     engine: Arc<dyn InferenceEngine>,
     batch: Vec<BatchMember>,
-    progress_tx: Sender<StageProgress>,
     done_tx: &Sender<JobDone>,
     waker: WakerCell,
 ) {
@@ -969,18 +942,14 @@ fn dispatch(
                     .zip(reports)
                     .zip(privates)
                     .map(|(((id, session), report), private_tx)| {
-                        if let Some(r) = report {
-                            let event = StageProgress {
+                        if let (Some(r), Some(private_tx)) = (report, private_tx) {
+                            let _ = private_tx.send(StageProgress {
                                 request_id: id,
                                 stage: session.stages_done().saturating_sub(1),
                                 confidence: r.confidence,
                                 predicted: r.predicted,
-                            };
-                            if let Some(private_tx) = &private_tx {
-                                let _ = private_tx.send(event.clone());
-                                nudge_needed = true;
-                            }
-                            let _ = progress_tx.send(event);
+                            });
+                            nudge_needed = true;
                         }
                         (id, session, report, false)
                     })
@@ -1057,24 +1026,6 @@ mod tests {
     }
 
     #[test]
-    fn deadline_interrupts_slow_tasks() {
-        // Stages take 30 ms; deadline 40 ms: at most 2 stages can finish.
-        let rt = runtime(vec![0.5, 0.7, 0.9], 30, RuntimeConfig::default());
-        let (_, rx) = rt.submit(InferenceRequest::new(vec![2.0], class(40)));
-        let response = rx.recv_timeout(Duration::from_secs(10)).unwrap();
-        assert!(response.expired, "task should be killed by the daemon");
-        assert!(
-            response.stages_executed < 3,
-            "ran {} stages",
-            response.stages_executed
-        );
-        if response.stages_executed > 0 {
-            assert!(response.is_answered(), "partial results are returned");
-        }
-        rt.shutdown();
-    }
-
-    #[test]
     fn many_concurrent_requests_all_answered() {
         let rt = runtime(vec![0.6, 0.9], 1, RuntimeConfig::default());
         let receivers: Vec<_> = (0..20)
@@ -1089,20 +1040,6 @@ mod tests {
             assert_eq!(response.stages_executed, 2);
             assert_eq!(response.predicted, Some(i));
         }
-        rt.shutdown();
-    }
-
-    #[test]
-    fn progress_events_flow_through_the_pipe() {
-        let rt = runtime(vec![0.5, 0.9], 1, RuntimeConfig::default());
-        let (_, rx) = rt.submit(InferenceRequest::new(vec![0.0], class(5_000)));
-        rx.recv_timeout(Duration::from_secs(10)).unwrap();
-        let first = rt
-            .progress_events()
-            .recv_timeout(Duration::from_secs(1))
-            .unwrap();
-        assert_eq!(first.stage, 0);
-        assert_eq!(first.confidence, 0.5);
         rt.shutdown();
     }
 
@@ -1274,41 +1211,6 @@ mod tests {
     }
 
     #[test]
-    fn deadline_expiry_mid_gather_finalizes_without_stalling_the_batch() {
-        // One worker, long stages, and a gather window far longer than any
-        // deadline: request C expires while parked for batching and must
-        // finalize immediately, while A and B still complete fully.
-        let config = RuntimeConfig {
-            num_workers: 1,
-            max_batch: 2,
-            gather_window: Duration::from_millis(500),
-            ..RuntimeConfig::default()
-        };
-        let rt = runtime(vec![0.5, 0.9], 60, config);
-        let (_, rx_a) = rt.submit(InferenceRequest::new(vec![0.0], class(10_000)));
-        // Let A occupy the worker before B and C arrive.
-        std::thread::sleep(Duration::from_millis(20));
-        let (_, rx_b) = rt.submit(InferenceRequest::new(vec![1.0], class(10_000)));
-        let (_, rx_c) = rt.submit(InferenceRequest::new(vec![2.0], class(30)));
-        let started = Instant::now();
-        let response_c = rx_c.recv_timeout(Duration::from_secs(10)).unwrap();
-        assert!(response_c.expired, "C's deadline passed while gathering");
-        assert_eq!(response_c.stages_executed, 0);
-        assert!(
-            started.elapsed() < Duration::from_millis(400),
-            "C must not wait out the 500ms gather window, took {:?}",
-            started.elapsed()
-        );
-        let response_a = rx_a.recv_timeout(Duration::from_secs(10)).unwrap();
-        let response_b = rx_b.recv_timeout(Duration::from_secs(10)).unwrap();
-        assert!(!response_a.expired, "A unaffected by C's expiry");
-        assert_eq!(response_a.stages_executed, 2);
-        assert!(!response_b.expired, "B's batch was not stalled by C");
-        assert_eq!(response_b.stages_executed, 2);
-        rt.shutdown();
-    }
-
-    #[test]
     fn batched_mode_streams_progress_and_accounts_usage() {
         let config = RuntimeConfig {
             num_workers: 1,
@@ -1439,39 +1341,6 @@ mod tests {
         }
     }
 
-    /// Satellite regression: a request completing exactly at its deadline
-    /// races the daemon's kill signal. Whatever the interleaving — kill
-    /// drained before the completion, after it, or after the task is
-    /// already deregistered — the kill gauge must count exactly the
-    /// responses that actually expired; a racing signal for a completed
-    /// request lands only in the stale-swallow gauge.
-    #[test]
-    fn kill_racing_completion_never_inflates_the_kill_gauge() {
-        let rt = runtime(vec![0.9], 1, RuntimeConfig::default());
-        let mut expired = 0u64;
-        for i in 0..100 {
-            // Deadline == stage time: completion and expiry collide.
-            let (_, rx) = rt.submit(InferenceRequest::new(vec![i as f32], class(1)));
-            let response = rx.recv_timeout(Duration::from_secs(10)).unwrap();
-            if response.expired {
-                expired += 1;
-            } else {
-                assert_eq!(response.stages_executed, 1);
-            }
-        }
-        let stats = rt.stats();
-        assert_eq!(stats.completed(), 100);
-        assert_eq!(
-            stats.deadline_kills(),
-            expired,
-            "every counted kill must correspond to an expired response; \
-             stale signals (swallowed: {}) must not be counted",
-            stats.stale_kills_swallowed()
-        );
-        assert_eq!(stats.degraded_exits(), 0, "Kill policy never degrades");
-        rt.shutdown();
-    }
-
     /// Satellite regression, direction 1: a request whose next stage is
     /// expensive must turn urgent while the stage still fits its budget —
     /// the old fixed `2 x gather_window` margin ignored the stage cost
@@ -1502,53 +1371,6 @@ mod tests {
             "margin {margin:?} must be under the old fixed 200ms"
         );
         assert!(margin >= window, "one window of slack is always kept");
-    }
-
-    #[test]
-    fn degrade_mode_converts_deadline_kill_into_partial_answer() {
-        let config = RuntimeConfig {
-            overload: OverloadPolicy::Degrade,
-            ..RuntimeConfig::default()
-        };
-        // 3 stages x 30ms against a 40ms deadline: full execution cannot
-        // fit, but at least one stage always completes.
-        let rt = runtime(vec![0.5, 0.7, 0.9], 30, config);
-        let (_, rx) = rt.submit(InferenceRequest::new(vec![2.0], class(40)));
-        let response = rx.recv_timeout(Duration::from_secs(10)).unwrap();
-        assert!(!response.expired, "degrade mode must not report a miss");
-        assert!(response.degraded, "the early exit is flagged");
-        assert!(response.is_answered(), "partial answer returned");
-        assert!(
-            (1..3).contains(&response.stages_executed),
-            "ran {} stages",
-            response.stages_executed
-        );
-        let stats = rt.stats();
-        assert_eq!(stats.deadline_kills(), 0);
-        assert!(stats.degraded_exits() >= 1);
-        rt.shutdown();
-    }
-
-    #[test]
-    fn degrade_mode_with_zero_stages_still_expires() {
-        let config = RuntimeConfig {
-            num_workers: 1,
-            overload: OverloadPolicy::Degrade,
-            ..RuntimeConfig::default()
-        };
-        // One worker, one long-running occupant: the starved victim never
-        // executes a stage, so there is nothing to degrade to.
-        let rt = runtime(vec![0.5, 0.9], 60, config);
-        let (_, rx_a) = rt.submit(InferenceRequest::new(vec![0.0], class(10_000)));
-        std::thread::sleep(Duration::from_millis(20));
-        let (_, rx_b) = rt.submit(InferenceRequest::new(vec![1.0], class(25)));
-        let response_b = rx_b.recv_timeout(Duration::from_secs(10)).unwrap();
-        assert!(response_b.expired, "a zero-stage request has no answer");
-        assert!(!response_b.degraded);
-        assert_eq!(response_b.stages_executed, 0);
-        let response_a = rx_a.recv_timeout(Duration::from_secs(10)).unwrap();
-        assert!(!response_a.expired);
-        rt.shutdown();
     }
 
     #[test]

@@ -106,8 +106,7 @@ impl RuntimeStats {
         std::time::Duration::from_micros(total / waits)
     }
 
-    /// Requests the deadline daemon killed and that were answered
-    /// `expired` with no usable result.
+    /// Requests killed at their deadline and answered `expired`.
     pub fn deadline_kills(&self) -> u64 {
         self.inner.deadline_kills.load(Ordering::Relaxed)
     }
@@ -119,9 +118,11 @@ impl RuntimeStats {
         self.inner.degraded_exits.load(Ordering::Relaxed)
     }
 
-    /// Kill signals that raced a just-completed request (the daemon fired
-    /// between completion and `deregister`) and were swallowed. These are
-    /// bookkeeping noise, never user-visible failures.
+    /// Deadline kills that cut nothing short: under
+    /// [`crate::OverloadPolicy::Degrade`], a request's deadline passed
+    /// while its final stage was running, and that stage completed the
+    /// answer. The request is answered in full, neither expired nor
+    /// degraded; the kill is only counted here.
     pub fn stale_kills_swallowed(&self) -> u64 {
         self.inner.stale_kills_swallowed.load(Ordering::Relaxed)
     }

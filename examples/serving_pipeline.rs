@@ -1,8 +1,8 @@
 //! The full run-time inference service of paper §III-C: a trained and
 //! calibrated staged model served by the worker pool, with RTDeepIoT
 //! scheduling, early exit on confident results, two service classes with
-//! different latency constraints, and the deadline daemon interrupting
-//! over-budget work.
+//! different latency constraints, and the coordinator killing over-budget
+//! work at its deadline.
 //!
 //! Run: `cargo run --release --example serving_pipeline`
 
@@ -99,13 +99,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             pricing.invoice(&usage)
         );
     }
-
-    // The confidence pipe carries per-stage progress for observability.
-    let mut progress = 0;
-    while runtime.progress_events().try_recv().is_ok() {
-        progress += 1;
-    }
-    println!("confidence pipe carried {progress} stage-progress messages");
     runtime.shutdown();
     Ok(())
 }

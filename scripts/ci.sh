@@ -19,8 +19,14 @@ cargo build --workspace --release --offline
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q --offline
 
-# Leak/multiplexing regressions, named explicitly so a future test-file
-# rename cannot silently drop them from the gate: >=64 interleaved
+# The workspace run above already ran every suite below once. The
+# `--no-run --test <name>` lines do not run them again: they only make
+# cargo fail if a named test target disappears, so a future test-file
+# rename cannot silently drop a suite from the gate. Only the
+# `EUGENE_SIMD=0` passes run for real, because they run the suites on
+# the scalar tier, which the workspace run does not cover.
+#
+# Leak/multiplexing regressions: >=64 interleaved
 # in-flight tags on one connection, the event loop's connection lifecycle
 # (churn drains closed sockets, an idle crowd on one thread), the
 # event-driven latency bounds (no accept sleep, no forwarding tick), the
@@ -36,43 +42,42 @@ cargo test --workspace -q --offline
 # Degrade mode: zero rejects after admission, every Final carries >=1
 # stage, utility beats the kill baseline). The gateway's own contract
 # (hard cap under a pipelined burst, drain on shutdown, read
-# backpressure) runs in the root crate's tier-1 `tests/gateway_contract.rs`.
-echo "==> cargo test -p eugene-net --test multiplex --test stale_frames --test readiness --test latency --test shard_faults --test replica_faults --test ring_properties --test registry_lifecycle --test tenants --test overload -q"
-cargo test -p eugene-net -q --offline \
+# backpressure) runs in the root crate's tier-1 `tests/gateway_contract.rs`,
+# the runtime's deadline contract in `tests/runtime_contract.rs`.
+echo "==> cargo test -p eugene-net --no-run --test multiplex --test stale_frames --test readiness --test latency --test shard_faults --test replica_faults --test ring_properties --test registry_lifecycle --test tenants --test overload"
+cargo test -p eugene-net -q --offline --no-run \
   --test multiplex --test stale_frames --test readiness --test latency \
   --test shard_faults --test replica_faults --test ring_properties --test registry_lifecycle \
   --test tenants --test overload
 
-# Kernel regressions, named explicitly for the same reason: the blocked/
-# parallel matmul paths must stay bitwise-equal to the naive references
-# at every parallelism setting (what serving micro-batching relies on).
-# Run twice — once with kernel-path auto-detection and once with the
-# SIMD tier forced off — so both the vectorized kernels and the scalar
-# fallback stay under the same parity contract.
-echo "==> cargo test -p eugene-tensor --test kernel_properties -q"
-cargo test -p eugene-tensor -q --offline --test kernel_properties
+# Kernel regressions: the blocked/parallel matmul paths must stay
+# bitwise-equal to the naive references at every parallelism setting
+# (what serving micro-batching relies on). The workspace run covers
+# kernel-path auto-detection; the second pass forces the SIMD tier off
+# so the scalar fallback stays under the same parity contract.
+echo "==> cargo test -p eugene-tensor --no-run --test kernel_properties"
+cargo test -p eugene-tensor -q --offline --no-run --test kernel_properties
 echo "==> EUGENE_SIMD=0 cargo test -p eugene-tensor --test kernel_properties -q"
 EUGENE_SIMD=0 cargo test -p eugene-tensor -q --offline --test kernel_properties
 
 # The same contract at the shapes the serving path runs (batches of
 # 1..=9 rows against pre-packed wide weights, f32 and i8, and a plan
 # chain against classify) — fixed seeds, so it also runs in tier-1.
-echo "==> cargo test -p eugene --test kernel_contract -q"
-cargo test -p eugene -q --offline --test kernel_contract
+echo "==> cargo test -p eugene --no-run --test kernel_contract"
+cargo test -p eugene -q --offline --no-run --test kernel_contract
 echo "==> EUGENE_SIMD=0 cargo test -p eugene --test kernel_contract -q"
 EUGENE_SIMD=0 cargo test -p eugene -q --offline --test kernel_contract
 
-# Plan-compiler regressions, named explicitly for the same reason: the
-# op-graph parity proptests (compiled plans bitwise-equal to the layer
-# walk across architectures/batches/precisions/tier flips) and the
-# plan-cache lifecycle suite (hit/miss accounting, invalidation on every
-# parameter-mutation funnel, quantize-after-compile, the concurrency
-# hammers, one weight pack per layer shared by every plan shape and
-# clone, stale/foreign plans panic instead of answering). Run twice — once under kernel-path auto-detection and once
-# with the SIMD tier forced off — so fused epilogues on both the
-# vectorized and scalar tiers stay under the parity contract.
-echo "==> cargo test -p eugene-nn --test plan_parity --test plan_cache -q"
-cargo test -p eugene-nn -q --offline --test plan_parity --test plan_cache
+# Plan-compiler regressions: the op-graph parity proptests (compiled
+# plans bitwise-equal to the layer walk across architectures/batches/
+# precisions/tier flips) and the plan-cache lifecycle suite (hit/miss
+# accounting, invalidation on every parameter-mutation funnel,
+# quantize-after-compile, the concurrency hammers, one weight pack per
+# layer shared by every plan shape and clone, stale/foreign plans panic
+# instead of answering). The scalar pass keeps fused epilogues on both
+# the vectorized and scalar tiers under the parity contract.
+echo "==> cargo test -p eugene-nn --no-run --test plan_parity --test plan_cache"
+cargo test -p eugene-nn -q --offline --no-run --test plan_parity --test plan_cache
 echo "==> EUGENE_SIMD=0 cargo test -p eugene-nn --test plan_parity --test plan_cache -q"
 EUGENE_SIMD=0 cargo test -p eugene-nn -q --offline --test plan_parity --test plan_cache
 
@@ -80,8 +85,8 @@ EUGENE_SIMD=0 cargo test -p eugene-nn -q --offline --test plan_parity --test pla
 # stage once then hits, a batch of one runs the rows=1 plans bitwise
 # like the layer walk on every lane, the runtime surfaces the counters,
 # and a model reload never serves a stale plan.
-echo "==> cargo test -p eugene-service --test plan_lifecycle -q"
-cargo test -p eugene-service -q --offline --test plan_lifecycle
+echo "==> cargo test -p eugene-service --no-run --test plan_lifecycle"
+cargo test -p eugene-service -q --offline --no-run --test plan_lifecycle
 echo "==> EUGENE_SIMD=0 cargo test -p eugene-service --test plan_lifecycle -q"
 EUGENE_SIMD=0 cargo test -p eugene-service -q --offline --test plan_lifecycle
 

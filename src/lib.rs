@@ -19,8 +19,9 @@
 //! - [`label`] — SenseGAN-style semi-supervised labeling (paper §II-A).
 //! - [`sched`] — the RTDeepIoT utility-maximizing stage scheduler and its
 //!   baselines with a discrete-event simulator (paper §III, Fig. 4).
-//! - [`serve`] — the live serving runtime: worker pool, deadline daemon,
-//!   confidence pipes (paper §III-C).
+//! - [`serve`] — the live serving runtime: one coordinator thread that
+//!   schedules stages, enforces deadlines and collects stage results over
+//!   a worker pool (paper §III-C).
 //! - [`net`] — the network edge: wire protocol, TCP gateway with
 //!   admission control, deadline-aware client, Poisson load generator.
 //! - [`collab`] — collaborative multi-camera inferencing (paper §IV,
