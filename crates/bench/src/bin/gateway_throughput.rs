@@ -10,8 +10,8 @@
 //! `Reject{retry_after}` so the admitted remainder still meets its
 //! deadlines rather than collapsing into queueing failure; and on a
 //! single TCP connection, throughput climbs with multiplexed in-flight
-//! depth until it saturates runtime capacity — far above what the
-//! one-request-per-connection serial client can reach on the same socket.
+//! depth until it saturates runtime capacity — far above one request in
+//! flight at a time on the same socket.
 //! The sweep then repeats with stage-level micro-batching enabled
 //! (`max_batch > 1`): same-stage requests gathered within the window fuse
 //! into one stage execution, lifting the saturated ceiling further.
@@ -66,9 +66,9 @@
 use eugene_bench::{has_flag, print_table, write_json};
 use eugene_net::wire::{self, Frame, FrameBuffer, PROTOCOL_VERSION};
 use eugene_net::{
-    loadgen, ClassSpec, ClientConfig, EugeneClient, Gateway, GatewayConfig, HashRing, LoadReport,
-    LoadgenConfig, LoadgenMode, MultiplexClient, RebalanceConfig, ShardConfig, ShardRouter,
-    SubmitOptions, TenantQuota, TenantSpec,
+    loadgen, ClassSpec, ClientConfig, Gateway, GatewayConfig, HashRing, LoadReport, LoadgenConfig,
+    MultiplexClient, RebalanceConfig, ShardConfig, ShardRouter, SubmitOptions, TenantQuota,
+    TenantSpec,
 };
 use eugene_sched::Fifo;
 use eugene_serve::{
@@ -402,7 +402,7 @@ fn idle_scenario(idle: usize) -> IdlePoint {
     connect_us.sort_unstable();
     let pct = |p: f64| connect_us[((connect_us.len() - 1) as f64 * p) as usize];
 
-    let mut client = EugeneClient::new(addr, ClientConfig::default()).expect("resolve");
+    let client = MultiplexClient::new(addr, ClientConfig::default()).expect("resolve");
     let t = Instant::now();
     let outcome = client
         .infer("probe", &[1.0], Duration::from_secs(10))
@@ -477,7 +477,9 @@ fn start_gateway(admission: bool, max_batch: usize) -> Gateway {
 struct Scenario<'a> {
     name: &'a str,
     connections: usize,
-    mode: LoadgenMode,
+    /// Submitter threads; `== connections` keeps one request in flight
+    /// per socket.
+    concurrency: usize,
     admission: bool,
     max_batch: usize,
     rate_hz: f64,
@@ -512,18 +514,14 @@ fn scenario(s: Scenario<'_>) -> (LoadReport, BatchStats) {
             max_attempts: 1, // measure raw admission decisions
             ..ClientConfig::default()
         },
-        mode: s.mode.clone(),
+        concurrency: s.concurrency,
         keyspace: None,
         tenants: Vec::new(),
         wait_grace: Duration::ZERO,
     };
-    let kind = match &s.mode {
-        LoadgenMode::PerConnection => "serial".to_owned(),
-        LoadgenMode::Multiplexed { concurrency } => format!("mux depth {concurrency}"),
-    };
     println!(
-        "{}: {} requests at {:.0} req/s over {} connection(s), {kind}...",
-        s.name, s.total, s.rate_hz, s.connections
+        "{}: {} requests at {:.0} req/s over {} connection(s), {} submitter(s)...",
+        s.name, s.total, s.rate_hz, s.connections, s.concurrency
     );
     let report = loadgen::run(&config);
     let stats = gateway.stats();
@@ -593,7 +591,7 @@ fn sharded_scenario(shards: usize, total: usize, seed: u64) -> ShardPoint {
             max_attempts: 1,
             ..ClientConfig::default()
         },
-        mode: LoadgenMode::Multiplexed { concurrency: 64 },
+        concurrency: 64,
         keyspace: Some(4_096),
         tenants: Vec::new(),
         wait_grace: Duration::ZERO,
@@ -717,7 +715,7 @@ fn replicated_load(
             max_attempts: 1,
             ..ClientConfig::default()
         },
-        mode: LoadgenMode::Multiplexed { concurrency: 32 },
+        concurrency: 32,
         keyspace: Some(keyspace),
         tenants: Vec::new(),
         wait_grace: Duration::ZERO,
@@ -1000,7 +998,7 @@ fn tenant_scenario(quick: bool) -> TenantIsolationPoint {
             max_attempts: 1, // a shed must surface as a shed, not a retry
             ..ClientConfig::default()
         },
-        mode: LoadgenMode::PerConnection,
+        concurrency: 64,
         keyspace: None,
         tenants: vec![
             TenantSpec {
@@ -1327,7 +1325,7 @@ fn overload_policy_scenario(
             max_attempts: 1, // a shed must book as a shed, not a retry
             ..ClientConfig::default()
         },
-        mode: LoadgenMode::Multiplexed { concurrency: 128 },
+        concurrency: 128,
         keyspace: None,
         tenants: Vec::new(),
         // Let an answer produced at the server's deadline cross the wire
@@ -1488,7 +1486,7 @@ fn main() {
     let (nominal, _) = scenario(Scenario {
         name: "nominal",
         connections: 8,
-        mode: LoadgenMode::PerConnection,
+        concurrency: 8,
         admission: true,
         max_batch: 1,
         rate_hz: 400.0,
@@ -1498,7 +1496,7 @@ fn main() {
     let (overload, _) = scenario(Scenario {
         name: "overload",
         connections: 64,
-        mode: LoadgenMode::PerConnection,
+        concurrency: 64,
         admission: true,
         max_batch: 1,
         rate_hz: 4_000.0,
@@ -1512,7 +1510,7 @@ fn main() {
     let (serial_single, _) = scenario(Scenario {
         name: "serial-1conn",
         connections: 1,
-        mode: LoadgenMode::PerConnection,
+        concurrency: 1,
         admission: false,
         max_batch: 1,
         rate_hz: 10_000.0,
@@ -1526,7 +1524,7 @@ fn main() {
                 let (report, batching) = scenario(Scenario {
                     name,
                     connections: 1,
-                    mode: LoadgenMode::Multiplexed { concurrency: depth },
+                    concurrency: depth,
                     admission: false,
                     max_batch,
                     rate_hz: 10_000.0,
@@ -1546,12 +1544,12 @@ fn main() {
     // gathered within the window fuse into one stage execution, so deep
     // pipelines should clear well above the unbatched capacity ceiling.
     let batched_curve = sweep("mux-1conn-batched", MAX_BATCH, 29);
-    // Equal concurrency, opposite connection models: 64 serial sockets vs
+    // Equal concurrency, opposite connection models: 64 one-deep sockets vs
     // the depth-64 point above on one socket.
     let (per_connection_64, _) = scenario(Scenario {
         name: "serial-64conn",
         connections: 64,
-        mode: LoadgenMode::PerConnection,
+        concurrency: 64,
         admission: false,
         max_batch: 1,
         rate_hz: 10_000.0,

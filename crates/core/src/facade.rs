@@ -642,11 +642,9 @@ impl Eugene {
     /// *Deep intelligence as a service*, literally: starts a serving
     /// runtime (as [`Eugene::serve`]) and exposes it over TCP behind a
     /// [`Gateway`] with atomic admission control. Remote clients talk to
-    /// it with the serial [`eugene_net::EugeneClient`] (one request in
-    /// flight per connection) or the pipelining
-    /// [`eugene_net::MultiplexClient`], which interleaves arbitrarily
-    /// many tagged in-flight requests — with per-stage progress streams —
-    /// over a single connection. One event loop (epoll on Linux) serves
+    /// it with [`eugene_net::MultiplexClient`], which interleaves any
+    /// number of tagged in-flight requests — with per-stage progress
+    /// streams — over a single connection. One event loop (epoll on Linux) serves
     /// every connection and holds tens of thousands of idle ones; no
     /// thread is ever spawned per connection or per request, and
     /// [`Gateway::status`] exposes admission/accept/thread gauges for
@@ -1024,7 +1022,7 @@ mod tests {
                 eugene_net::GatewayConfig::default(),
             )
             .unwrap();
-        let mut client = eugene_net::EugeneClient::new(
+        let client = eugene_net::MultiplexClient::new(
             gateway.local_addr(),
             eugene_net::ClientConfig::default(),
         )
@@ -1062,9 +1060,11 @@ mod tests {
             .unwrap();
         assert_eq!(router.num_shards(), 2);
         assert_eq!(router.alive_shards(), 2);
-        let mut client =
-            eugene_net::EugeneClient::new(router.local_addr(), eugene_net::ClientConfig::default())
-                .unwrap();
+        let client = eugene_net::MultiplexClient::new(
+            router.local_addr(),
+            eugene_net::ClientConfig::default(),
+        )
+        .unwrap();
         // Distinct routing keys land on the shard the ring names; the
         // wire answers are indistinguishable from a single gateway.
         for key in 0..8u64 {
@@ -1120,7 +1120,7 @@ mod tests {
                 eugene_net::GatewayConfig::default(),
             )
             .unwrap();
-        let mut client = eugene_net::EugeneClient::new(
+        let client = eugene_net::MultiplexClient::new(
             gateway.local_addr(),
             eugene_net::ClientConfig::default(),
         )

@@ -1,25 +1,22 @@
-//! Blocking gateway clients with deadline-aware retry.
+//! The blocking gateway client, with deadline-aware retry.
 //!
-//! Two clients speak the [`crate::wire`] protocol:
+//! [`MultiplexClient`] speaks the [`crate::wire`] protocol over one TCP
+//! connection. Each submit gets a fresh `client_tag`, and a background
+//! reader thread routes every `StageUpdate`/`Final`/`Reject` frame back to
+//! the matching [`PendingInference`]. The API is `&self` throughout, so
+//! many threads can share one client (and one socket); a caller that waits
+//! for each answer before the next submit keeps one request in flight.
 //!
-//! - [`EugeneClient`] is the simple serial client: one request in flight
-//!   per connection, reconnecting transparently when the gateway drops it.
-//! - [`MultiplexClient`] pipelines arbitrarily many requests over a
-//!   *single* TCP connection, allocating a fresh `client_tag` per submit
-//!   and routing `StageUpdate`/`Final`/`Reject` frames back to the
-//!   matching [`PendingInference`] via a background reader thread. It is
-//!   `&self` throughout, so many threads can share one client (and one
-//!   socket).
-//!
-//! Both preserve the same deadline semantics per request: the deadline is
-//! anchored when the inference starts, each submit carries only the
-//! *remaining* budget, retries back off with capped exponential backoff
-//! plus seeded jitter, and no sleep ever extends past the deadline. Tags
-//! are allocated from a wrapping counter and never reused while a request
-//! is pending; frames that arrive for a tag no longer pending (a prior
-//! attempt that timed out, a `Reject` for an old tag after reconnect) are
-//! counted as *stale* and explicitly discarded — in particular a stale
-//! `Reject` never sets the backoff floor for the current attempt.
+//! Deadlines are per request: the deadline is anchored when the inference
+//! starts, each submit carries only the *remaining* budget, retries back
+//! off with capped exponential backoff plus seeded jitter, and no sleep
+//! ever extends past the deadline. A request whose deadline passes is
+//! abandoned, not the socket. Tags come from a wrapping client-lifetime
+//! counter and are never reused while a request is pending; frames that
+//! arrive for a tag no longer pending (an abandoned request, an old tag
+//! echoed after reconnect) are counted as *stale* and discarded — in
+//! particular a stale `Reject` never sets the backoff floor for the
+//! current attempt.
 
 use crate::wire::{
     self, Frame, FrameBuffer, RejectReason, SubmitRequest, WireError, PROTOCOL_VERSION,
@@ -35,14 +32,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Connection and retry policy for [`EugeneClient`].
+/// Connection and retry policy for [`MultiplexClient`].
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
     /// TCP connect timeout per attempt.
     pub connect_timeout: Duration,
-    /// Socket read-poll granularity: how often the client re-checks its
-    /// deadline while waiting for frames.
-    pub read_poll: Duration,
     /// Maximum submit attempts per inference (first try included).
     pub max_attempts: u32,
     /// First retry backoff; doubles each attempt.
@@ -59,7 +53,6 @@ impl Default for ClientConfig {
     fn default() -> Self {
         Self {
             connect_timeout: Duration::from_secs(1),
-            read_poll: Duration::from_millis(10),
             max_attempts: 4,
             backoff_base: Duration::from_millis(10),
             backoff_cap: Duration::from_millis(250),
@@ -185,333 +178,6 @@ impl From<io::Error> for ClientError {
     }
 }
 
-struct Connection {
-    stream: TcpStream,
-    buffer: FrameBuffer,
-}
-
-/// Blocking client for a [`crate::server::Gateway`].
-pub struct EugeneClient {
-    addr: SocketAddr,
-    config: ClientConfig,
-    conn: Option<Connection>,
-    rng: rand::rngs::StdRng,
-    next_tag: u64,
-    stale_frames: u64,
-}
-
-impl EugeneClient {
-    /// Resolves `addr` and prepares a client; the TCP connection is
-    /// established lazily on first use and re-established transparently
-    /// after failures.
-    pub fn new(addr: impl ToSocketAddrs, config: ClientConfig) -> io::Result<Self> {
-        let addr = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no address resolved"))?;
-        let rng = rand::rngs::StdRng::seed_from_u64(config.seed);
-        Ok(Self {
-            addr,
-            config,
-            conn: None,
-            rng,
-            next_tag: 0,
-            stale_frames: 0,
-        })
-    }
-
-    /// Allocates the next client tag. The space wraps at `u64::MAX`; tags
-    /// are unique per connection as long as fewer than 2^64 requests are
-    /// ever simultaneously outstanding, which holds trivially here (one).
-    fn alloc_tag(&mut self) -> u64 {
-        let tag = self.next_tag;
-        self.next_tag = self.next_tag.wrapping_add(1);
-        tag
-    }
-
-    /// Frames received for a tag that is no longer pending (leftovers of
-    /// a timed-out or superseded attempt). These are discarded, never
-    /// acted on.
-    pub fn stale_frames(&self) -> u64 {
-        self.stale_frames
-    }
-
-    /// Runs one inference with an end-to-end deadline `budget`.
-    ///
-    /// The deadline is anchored now; every retry re-computes the
-    /// remaining budget, each submit tells the server only what is left,
-    /// and no backoff sleep ever extends past the deadline.
-    pub fn infer(
-        &mut self,
-        class: &str,
-        payload: &[f32],
-        budget: Duration,
-    ) -> Result<InferenceOutcome, ClientError> {
-        self.infer_keyed(class, payload, budget, None)
-    }
-
-    /// [`EugeneClient::infer`] with an explicit sharding routing key: a
-    /// sharded front tier pins all submits carrying the same key to the
-    /// same shard. A plain gateway ignores the key.
-    pub fn infer_keyed(
-        &mut self,
-        class: &str,
-        payload: &[f32],
-        budget: Duration,
-        routing_key: Option<u64>,
-    ) -> Result<InferenceOutcome, ClientError> {
-        self.infer_with(class, payload, budget, &SubmitOptions::keyed(routing_key))
-    }
-
-    /// [`EugeneClient::infer`] with full per-request addressing: routing
-    /// key, registry model, and tenant identity (see [`SubmitOptions`]).
-    pub fn infer_with(
-        &mut self,
-        class: &str,
-        payload: &[f32],
-        budget: Duration,
-        options: &SubmitOptions,
-    ) -> Result<InferenceOutcome, ClientError> {
-        let started = Instant::now();
-        let deadline = started + budget;
-        let mut attempts = 0u32;
-        let mut last_error = ClientError::DeadlineExhausted;
-        while attempts < self.config.max_attempts {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(ClientError::DeadlineExhausted);
-            }
-            attempts += 1;
-            match self.try_once(class, payload, remaining, deadline, options) {
-                Ok(mut outcome) => {
-                    outcome.round_trip = started.elapsed();
-                    outcome.attempts = attempts;
-                    return Ok(outcome);
-                }
-                Err(AttemptError::Fatal(e)) => return Err(e),
-                Err(AttemptError::Retry { floor, error }) => {
-                    last_error = error;
-                    let backoff = self.backoff(attempts).max(floor);
-                    // Never retry past the remaining budget: if the wait
-                    // alone would cross the deadline, report now.
-                    if Instant::now() + backoff >= deadline || attempts >= self.config.max_attempts
-                    {
-                        return Err(last_error);
-                    }
-                    std::thread::sleep(backoff);
-                }
-            }
-        }
-        Err(last_error)
-    }
-
-    /// Round-trips a Ping through the gateway; returns the RTT.
-    pub fn ping(&mut self, timeout: Duration) -> Result<Duration, ClientError> {
-        let deadline = Instant::now() + timeout;
-        let conn = self.connection(deadline)?;
-        let nonce = 0x50_49_4E_47 ^ conn.stream.local_addr().map(|a| a.port()).unwrap_or(0) as u64;
-        let started = Instant::now();
-        if let Err(e) = wire::write_frame(&mut conn.stream, &Frame::Ping { nonce }) {
-            self.conn = None;
-            return Err(e.into());
-        }
-        loop {
-            if Instant::now() >= deadline {
-                return Err(ClientError::DeadlineExhausted);
-            }
-            let conn = self.conn.as_mut().expect("connection present");
-            match conn.buffer.poll(&mut conn.stream) {
-                Ok(Some(Frame::Pong { nonce: echoed })) if echoed == nonce => {
-                    return Ok(started.elapsed());
-                }
-                Ok(_) => continue,
-                Err(e) => {
-                    self.conn = None;
-                    return Err(e.into());
-                }
-            }
-        }
-    }
-
-    /// Whether a live connection is currently held.
-    pub fn is_connected(&self) -> bool {
-        self.conn.is_some()
-    }
-
-    fn backoff(&mut self, attempt: u32) -> Duration {
-        let exp = self
-            .config
-            .backoff_base
-            .saturating_mul(1u32 << (attempt - 1).min(16))
-            .min(self.config.backoff_cap);
-        // Jitter in [0.5, 1.5) de-synchronizes retry storms.
-        let jitter = self.rng.gen_range(0.5f64..1.5);
-        exp.mul_f64(jitter)
-    }
-
-    fn connection(&mut self, deadline: Instant) -> Result<&mut Connection, ClientError> {
-        if self.conn.is_none() {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(ClientError::DeadlineExhausted);
-            }
-            let timeout = self.config.connect_timeout.min(remaining);
-            let stream = TcpStream::connect_timeout(&self.addr, timeout)?;
-            stream.set_nodelay(true).ok();
-            stream
-                .set_read_timeout(Some(self.config.read_poll))
-                .map_err(WireError::Io)?;
-            let mut conn = Connection {
-                stream,
-                buffer: FrameBuffer::new(),
-            };
-            wire::write_frame(
-                &mut conn.stream,
-                &Frame::Hello {
-                    max_version: PROTOCOL_VERSION,
-                },
-            )?;
-            loop {
-                if Instant::now() >= deadline {
-                    return Err(ClientError::DeadlineExhausted);
-                }
-                match conn.buffer.poll(&mut conn.stream)? {
-                    Some(Frame::HelloAck { version })
-                        if (1..=PROTOCOL_VERSION).contains(&version) =>
-                    {
-                        break;
-                    }
-                    Some(_) => {
-                        return Err(ClientError::Wire(WireError::Malformed("expected HelloAck")))
-                    }
-                    None => continue,
-                }
-            }
-            self.conn = Some(conn);
-        }
-        Ok(self.conn.as_mut().expect("connection present"))
-    }
-
-    fn try_once(
-        &mut self,
-        class: &str,
-        payload: &[f32],
-        remaining: Duration,
-        deadline: Instant,
-        options: &SubmitOptions,
-    ) -> Result<InferenceOutcome, AttemptError> {
-        let tag = self.alloc_tag();
-        let submit = Frame::Submit(SubmitRequest {
-            client_tag: tag,
-            class: class.to_owned(),
-            budget_ms: options.wire_budget.unwrap_or(remaining).as_millis().max(1) as u64,
-            want_progress: self.config.want_progress,
-            payload: payload.to_vec(),
-            routing_key: options.routing_key,
-            model: options.model.clone(),
-            tenant: options.tenant.clone(),
-            // Stamped by the sharded router when it proxies upstream;
-            // a direct client never sets it.
-            epoch: None,
-        });
-        let conn = match self.connection(deadline) {
-            Ok(conn) => conn,
-            Err(ClientError::DeadlineExhausted) => {
-                return Err(AttemptError::Fatal(ClientError::DeadlineExhausted))
-            }
-            // Connect failures are transient: retry with backoff.
-            Err(e) => return Err(AttemptError::retry(e)),
-        };
-        if let Err(e) = wire::write_frame(&mut conn.stream, &submit) {
-            self.conn = None;
-            return Err(AttemptError::retry(ClientError::Wire(e)));
-        }
-        let mut stage_updates = Vec::new();
-        loop {
-            if Instant::now() >= deadline {
-                // The submit may still complete server-side, but our
-                // budget is gone; drop the connection so a stale Final
-                // cannot confuse the next request.
-                self.conn = None;
-                return Err(AttemptError::Fatal(ClientError::DeadlineExhausted));
-            }
-            let conn = self.conn.as_mut().expect("connection present");
-            let frame = match conn.buffer.poll(&mut conn.stream) {
-                Ok(Some(frame)) => frame,
-                Ok(None) => continue,
-                Err(e) => {
-                    self.conn = None;
-                    return Err(AttemptError::retry(ClientError::Wire(e)));
-                }
-            };
-            match frame {
-                Frame::StageUpdate {
-                    client_tag,
-                    stage,
-                    confidence,
-                    predicted,
-                } if client_tag == tag => {
-                    // Stage-restart dedup: a sharded front tier replaying
-                    // this request onto a standby restarts its stage
-                    // stream; drop the dead attempt's updates.
-                    if stage_updates
-                        .last()
-                        .is_some_and(|last: &StageUpdate| stage <= last.stage)
-                    {
-                        stage_updates.clear();
-                    }
-                    stage_updates.push(StageUpdate {
-                        stage,
-                        confidence,
-                        predicted,
-                    });
-                }
-                Frame::Final {
-                    client_tag,
-                    response,
-                } if client_tag == tag => {
-                    return Ok(InferenceOutcome {
-                        predicted: response.predicted,
-                        confidence: response.confidence,
-                        stages_executed: response.stages_executed,
-                        expired: response.expired,
-                        degraded: response.degraded,
-                        server_latency: Duration::from_micros(response.latency_us),
-                        round_trip: Duration::ZERO, // filled by infer()
-                        stage_updates,
-                        attempts: 0, // filled by infer()
-                    });
-                }
-                Frame::Reject {
-                    client_tag,
-                    retry_after_ms,
-                    reason,
-                } if client_tag == tag => {
-                    let retry_after = Duration::from_millis(retry_after_ms);
-                    return Err(AttemptError::Retry {
-                        floor: retry_after,
-                        error: ClientError::Rejected {
-                            retry_after,
-                            reason,
-                        },
-                    });
-                }
-                // Stale data frames: leftovers addressed to a tag that is
-                // no longer pending (a timed-out prior attempt, or an old
-                // tag echoed after reconnect/wraparound). Count and drop
-                // them — crucially a stale `Reject` must NOT feed its
-                // `retry_after_ms` into this attempt's backoff floor.
-                Frame::StageUpdate { .. } | Frame::Final { .. } | Frame::Reject { .. } => {
-                    self.stale_frames += 1;
-                }
-                // Control frames (pongs from concurrent pings, handshake
-                // echoes) are simply not ours to handle here.
-                _ => {}
-            }
-        }
-    }
-}
-
 /// Demuxed event delivered to one pending request's channel.
 enum MuxEvent {
     Stage(StageUpdate),
@@ -532,12 +198,10 @@ struct MuxShared {
     pending: Mutex<HashMap<u64, Sender<MuxEvent>>>,
     /// Outstanding ping nonces → wakeup channels.
     pings: Mutex<HashMap<u64, Sender<()>>>,
-    /// Set by the reader on any wire failure: the connection is unusable
-    /// and the next submit re-dials.
+    /// Set by the reader on any wire failure (including the socket
+    /// shutdown of a deliberate close): the connection is unusable and the
+    /// next submit re-dials.
     dead: AtomicBool,
-    /// Set on deliberate close so the reader exits without flagging an
-    /// error.
-    closed: AtomicBool,
     /// Client-lifetime stale-frame counter (shared across reconnects).
     stale: Arc<AtomicU64>,
 }
@@ -552,11 +216,10 @@ struct MuxConn {
 
 impl Drop for MuxConn {
     fn drop(&mut self) {
-        self.shared.closed.store(true, Ordering::Relaxed);
         {
             let mut writer = self.writer.lock();
             // Courtesy close; the socket shutdown right after is what
-            // actually unblocks the reader.
+            // wakes the reader from its blocking read.
             let _ = wire::write_frame(&mut *writer, &Frame::Shutdown);
             writer.shutdown(SocketShutdown::Both).ok();
         }
@@ -568,9 +231,6 @@ impl Drop for MuxConn {
 
 fn mux_reader_loop(mut stream: TcpStream, mut buffer: FrameBuffer, shared: Arc<MuxShared>) {
     loop {
-        if shared.closed.load(Ordering::Relaxed) {
-            return;
-        }
         let frame = match buffer.poll(&mut stream) {
             Ok(Some(frame)) => frame,
             Ok(None) => continue,
@@ -754,9 +414,11 @@ impl Drop for PendingInference {
     }
 }
 
-/// Pipelining gateway client: many concurrent requests over one TCP
+/// Gateway client: any number of concurrent requests over one TCP
 /// connection, demuxed by `client_tag`.
 ///
+/// [`MultiplexClient::infer`] submits, waits and retries in one call;
+/// [`MultiplexClient::submit`] returns at once so callers can pipeline.
 /// Shareable across threads (`&self` API); submits interleave freely and
 /// a background reader routes every response to the matching
 /// [`PendingInference`]. Reconnects lazily after connection loss; tags
@@ -905,9 +567,33 @@ impl MultiplexClient {
         options: &SubmitOptions,
     ) -> Result<PendingInference, ClientError> {
         let conn = self.connection(deadline)?;
+        self.submit_on(&conn, class, payload, deadline, want_progress, options)
+    }
+
+    /// Registers a fresh tag on `conn` and writes its submit.
+    fn submit_on(
+        &self,
+        conn: &Arc<MuxConn>,
+        class: &str,
+        payload: &[f32],
+        deadline: Instant,
+        want_progress: bool,
+        options: &SubmitOptions,
+    ) -> Result<PendingInference, ClientError> {
         let tag = self.alloc_tag();
         let (tx, rx) = unbounded();
-        conn.shared.pending.lock().insert(tag, tx);
+        {
+            // The reader stores `dead` before it locks `pending` to clear
+            // it, so under this lock either `dead` is visible or the clear
+            // is still to come and will drop our sender. Without the check
+            // a submit racing the reader's death would park a sender no
+            // reader is left to drop, and wait out its whole budget.
+            let mut pending = conn.shared.pending.lock();
+            if conn.shared.dead.load(Ordering::Relaxed) {
+                return Err(ClientError::Wire(WireError::Truncated));
+            }
+            pending.insert(tag, tx);
+        }
         let remaining = deadline.saturating_duration_since(Instant::now());
         let frame = Frame::Submit(SubmitRequest {
             client_tag: tag,
@@ -926,7 +612,7 @@ impl MultiplexClient {
             return Err(e.into());
         }
         Ok(PendingInference {
-            conn,
+            conn: Arc::clone(conn),
             tag,
             rx,
             deadline,
@@ -937,10 +623,9 @@ impl MultiplexClient {
     }
 
     /// Runs one inference with an end-to-end deadline `budget`, retrying
-    /// rejections and connection loss with the same capped, jittered,
-    /// deadline-bounded backoff as [`EugeneClient::infer`] — but over the
-    /// shared pipelined connection, so concurrent callers never serialize
-    /// behind each other.
+    /// rejections and connection loss with capped, jittered backoff that
+    /// never sleeps past the deadline. Concurrent callers share the
+    /// pipelined connection and never serialize behind each other.
     pub fn infer(
         &self,
         class: &str,
@@ -1081,9 +766,6 @@ impl MultiplexClient {
         let timeout = self.config.connect_timeout.min(remaining);
         let mut stream = TcpStream::connect_timeout(&self.addr, timeout)?;
         stream.set_nodelay(true).ok();
-        stream
-            .set_read_timeout(Some(self.config.read_poll))
-            .map_err(WireError::Io)?;
         wire::write_frame(
             &mut stream,
             &Frame::Hello {
@@ -1094,9 +776,14 @@ impl MultiplexClient {
         // the server pipelined behind the ack) is handed to the reader.
         let mut buffer = FrameBuffer::new();
         loop {
-            if Instant::now() >= deadline {
+            // Checked first: a zero read timeout is an error, not a poll.
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
                 return Err(ClientError::DeadlineExhausted);
             }
+            stream
+                .set_read_timeout(Some(remaining))
+                .map_err(WireError::Io)?;
             match buffer.poll(&mut stream)? {
                 Some(Frame::HelloAck { version }) if (1..=PROTOCOL_VERSION).contains(&version) => {
                     break;
@@ -1107,11 +794,13 @@ impl MultiplexClient {
                 None => continue,
             }
         }
+        // The reader blocks in `read`; `MuxConn::drop` wakes it by shutting
+        // the socket down.
+        stream.set_read_timeout(None).map_err(WireError::Io)?;
         let shared = Arc::new(MuxShared {
             pending: Mutex::new(HashMap::new()),
             pings: Mutex::new(HashMap::new()),
             dead: AtomicBool::new(false),
-            closed: AtomicBool::new(false),
             stale: Arc::clone(&self.stale),
         });
         let reader = {
@@ -1149,6 +838,7 @@ impl AttemptError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
 
     #[test]
     fn backoff_is_capped_and_jittered_deterministically() {
@@ -1158,8 +848,8 @@ mod tests {
             seed: 7,
             ..ClientConfig::default()
         };
-        let mut a = EugeneClient::new("127.0.0.1:1", config.clone()).unwrap();
-        let mut b = EugeneClient::new("127.0.0.1:1", config).unwrap();
+        let a = MultiplexClient::new("127.0.0.1:1", config.clone()).unwrap();
+        let b = MultiplexClient::new("127.0.0.1:1", config).unwrap();
         for attempt in 1..10 {
             let x = a.backoff(attempt);
             let y = b.backoff(attempt);
@@ -1172,28 +862,21 @@ mod tests {
 
     #[test]
     fn tags_wrap_at_u64_max_without_panic_or_reuse() {
-        // Serial client: wrapping_add, not +=, at the boundary.
-        let mut serial = EugeneClient::new("127.0.0.1:1", ClientConfig::default()).unwrap();
-        serial.next_tag = u64::MAX;
-        assert_eq!(serial.alloc_tag(), u64::MAX);
-        assert_eq!(serial.alloc_tag(), 0);
-        assert_eq!(serial.alloc_tag(), 1);
-
-        // Mux client: fetch_add wraps atomically at the boundary, and the
-        // counter is client-lifetime so a reconnect never resets it into
-        // the range of tags still pending on the old socket.
-        let mux = MultiplexClient::new("127.0.0.1:1", ClientConfig::default()).unwrap();
-        mux.next_tag.store(u64::MAX - 1, Ordering::Relaxed);
-        assert_eq!(mux.alloc_tag(), u64::MAX - 1);
-        assert_eq!(mux.alloc_tag(), u64::MAX);
-        assert_eq!(mux.alloc_tag(), 0);
+        // fetch_add wraps atomically at the boundary, and the counter is
+        // client-lifetime so a reconnect never resets it into the range of
+        // tags still pending on the old socket.
+        let client = MultiplexClient::new("127.0.0.1:1", ClientConfig::default()).unwrap();
+        client.next_tag.store(u64::MAX - 1, Ordering::Relaxed);
+        assert_eq!(client.alloc_tag(), u64::MAX - 1);
+        assert_eq!(client.alloc_tag(), u64::MAX);
+        assert_eq!(client.alloc_tag(), 0);
     }
 
     #[test]
     fn infer_against_dead_address_respects_budget() {
         // Nothing listens on this port; every attempt fails fast and the
         // client must give up within (roughly) the budget.
-        let mut client = EugeneClient::new(
+        let client = MultiplexClient::new(
             "127.0.0.1:1",
             ClientConfig {
                 connect_timeout: Duration::from_millis(50),
@@ -1208,5 +891,47 @@ mod tests {
             started.elapsed() < Duration::from_secs(3),
             "retry loop must stay bounded by the budget"
         );
+    }
+
+    #[test]
+    fn submit_racing_the_readers_death_fails_fast_and_retryably() {
+        // Fake gateway: acks the handshake, then closes the socket.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut buffer = FrameBuffer::new();
+            while !matches!(buffer.poll(&mut stream), Ok(Some(Frame::Hello { .. }))) {}
+            let ack = Frame::HelloAck {
+                version: PROTOCOL_VERSION,
+            };
+            wire::write_frame(&mut stream, &ack).unwrap();
+        });
+        let client = MultiplexClient::new(addr, ClientConfig::default()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let conn = client.connection(deadline).unwrap();
+        server.join().unwrap();
+        while !conn.shared.dead.load(Ordering::Relaxed) {
+            assert!(Instant::now() < deadline, "reader never saw the close");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        // A submitter still holding the stale `Arc` must not park a tag
+        // that no reader will ever resolve.
+        let started = Instant::now();
+        let result = client.submit_on(
+            &conn,
+            "c",
+            &[1.0],
+            deadline,
+            false,
+            &SubmitOptions::default(),
+        );
+        assert!(
+            matches!(result, Err(ClientError::Wire(_))),
+            "expected a retryable connection loss, got a pending inference or a fatal error"
+        );
+        assert!(started.elapsed() < Duration::from_secs(1));
+        assert!(conn.shared.pending.lock().is_empty(), "no tag left behind");
     }
 }

@@ -19,19 +19,18 @@
 //!   drains them), while admission control atomically reserves an
 //!   in-flight slot per submit (so concurrent submits can never blow past
 //!   `hard_cap`) and sheds load with [`wire::Frame::Reject`] above the
-//!   high-water mark (lowest-utility service classes first);
-//! - [`client`]: a blocking serial [`client::EugeneClient`] plus a
-//!   pipelining [`client::MultiplexClient`] that keeps many tagged
-//!   requests outstanding on one connection; both apply deadline-aware
-//!   retry — capped exponential backoff with jitter that never retries
-//!   past the request's remaining budget;
-//! - [`loadgen`]: a seeded open-loop Poisson load generator (one client
-//!   per connection, or multiplexed over few connections) producing
+//!   high-water mark (lowest-utility service classes first). The gateway
+//!   also fronts a [`eugene_serve::ModelRegistry`] (multiple named models,
+//!   loaded and unloaded at runtime) and a per-tenant admission governor
+//!   ([`TenantQuota`]) with weighted fair shedding, so one misbehaving
+//!   tenant sheds its own traffic first;
+//! - [`client`]: the blocking [`client::MultiplexClient`], which keeps any
+//!   number of tagged requests outstanding on one connection and applies
+//!   deadline-aware retry — capped exponential backoff with jitter that
+//!   never retries past the request's remaining budget;
+//! - [`loadgen`]: a seeded open-loop Poisson load generator whose
+//!   submitter threads share a few clients, producing
 //!   throughput/latency/reject-rate reports;
-//!   the gateway also fronts a [`eugene_serve::ModelRegistry`] (multiple
-//!   named models, loaded and unloaded at runtime) and a per-tenant
-//!   admission governor ([`TenantQuota`]) with weighted fair shedding, so
-//!   one misbehaving tenant sheds its own traffic first;
 //! - [`shard`]: a [`shard::ShardRouter`] front tier that consistently
 //!   hashes routing keys across N gateway shards (each with its own
 //!   runtime). Every keyspace range has a replica group (primary plus
@@ -42,7 +41,7 @@
 //!   [`shard::FailoverPolicy::Reject`] contract), shards can be added
 //!   and removed live with bounded-remap migration, and an optional
 //!   load-aware rebalancer narrows per-shard rps spread — same wire
-//!   protocol, so every client above works unchanged against it.
+//!   protocol, so the client works unchanged against it.
 //!
 //! Deadlines cross the wire as *remaining budgets* (milliseconds), not
 //! absolute times, so client and server clocks never need to agree: the
@@ -64,12 +63,9 @@ mod tenant;
 pub mod wire;
 
 pub use client::{
-    ClientConfig, ClientError, EugeneClient, InferenceOutcome, MultiplexClient, PendingInference,
-    SubmitOptions,
+    ClientConfig, ClientError, InferenceOutcome, MultiplexClient, PendingInference, SubmitOptions,
 };
-pub use loadgen::{
-    ClassSpec, LoadReport, LoadgenConfig, LoadgenMode, TenantLoadReport, TenantSpec,
-};
+pub use loadgen::{ClassSpec, LoadReport, LoadgenConfig, TenantLoadReport, TenantSpec};
 pub use server::{Gateway, GatewayBackend, GatewayConfig, GatewayStatus};
 pub use shard::{
     FailoverPolicy, HashRing, RebalanceConfig, ReplicaConfig, ShardConfig, ShardRouter,

@@ -7,17 +7,14 @@
 //! collapse). Everything is derived from a single seed, so runs are
 //! reproducible.
 //!
-//! Two connection models ([`LoadgenMode`]):
-//!
-//! - [`LoadgenMode::PerConnection`] — each worker owns one serial
-//!   [`crate::client::EugeneClient`] connection (one request in flight per
-//!   socket), firing its share of the schedule;
-//! - [`LoadgenMode::Multiplexed`] — `connections` shared
-//!   [`crate::client::MultiplexClient`]s pipeline tagged requests, with
-//!   `concurrency` submitter threads dealt round-robin across them, so a
-//!   handful of sockets carry the whole offered load.
+//! `concurrency` submitter threads each fire their share of the schedule,
+//! one request in flight at a time, through `connections` shared
+//! [`crate::client::MultiplexClient`]s dealt round-robin. With
+//! `concurrency == connections` every socket carries one request at a
+//! time; a larger `concurrency` pipelines tagged requests, so a handful of
+//! sockets carry the whole offered load.
 
-use crate::client::{ClientConfig, ClientError, EugeneClient, MultiplexClient, SubmitOptions};
+use crate::client::{ClientConfig, ClientError, MultiplexClient, SubmitOptions};
 use crate::wire::RejectReason;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
@@ -51,25 +48,12 @@ pub struct TenantSpec {
     pub weight: f64,
 }
 
-/// How the offered load maps onto TCP connections.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LoadgenMode {
-    /// One serial [`EugeneClient`] per worker thread: `connections`
-    /// sockets, one request in flight on each.
-    PerConnection,
-    /// `connections` shared [`MultiplexClient`]s pipelining tagged
-    /// requests, driven by `concurrency` submitter threads dealt
-    /// round-robin across the clients. In-flight depth per socket is
-    /// roughly `concurrency / connections`.
-    Multiplexed { concurrency: usize },
-}
-
 /// Full description of one load-generation run.
 #[derive(Debug, Clone)]
 pub struct LoadgenConfig {
     /// Gateway address, e.g. `"127.0.0.1:4096"`.
     pub addr: String,
-    /// Concurrent TCP connections.
+    /// Concurrent TCP connections, one shared client each.
     pub connections: usize,
     /// Total requests across all connections.
     pub total_requests: usize,
@@ -81,8 +65,10 @@ pub struct LoadgenConfig {
     pub seed: u64,
     /// Client policy applied to every worker.
     pub client: ClientConfig,
-    /// Connection model (serial per-connection vs multiplexed).
-    pub mode: LoadgenMode,
+    /// Submitter threads, dealt round-robin across the `connections`
+    /// clients. Each waits for its answer before its next submit, so the
+    /// in-flight depth per socket is roughly `concurrency / connections`.
+    pub concurrency: usize,
     /// Multi-shard mode: when `Some(k)`, every request carries a routing
     /// key drawn uniformly from `0..k`, so a sharded front tier spreads
     /// the offered load across its ring. `None` sends no keys (a single
@@ -116,7 +102,7 @@ impl Default for LoadgenConfig {
             }],
             seed: 0,
             client: ClientConfig::default(),
-            mode: LoadgenMode::PerConnection,
+            concurrency: 4,
             keyspace: None,
             tenants: Vec::new(),
             wait_grace: Duration::ZERO,
@@ -319,7 +305,7 @@ impl WorkerTally {
 ///
 /// Arrivals follow a Poisson process at `rate_hz`: inter-arrival gaps are
 /// `-ln(U)/rate` with `U` uniform on (0, 1]. The schedule is generated up
-/// front from the seed and dealt round-robin to `connections` workers, so
+/// front from the seed and dealt round-robin to `concurrency` workers, so
 /// the offered load is independent of server behavior.
 pub fn run(config: &LoadgenConfig) -> LoadReport {
     assert!(
@@ -330,14 +316,12 @@ pub fn run(config: &LoadgenConfig) -> LoadReport {
         config.connections > 0,
         "loadgen needs at least one connection"
     );
+    assert!(
+        config.concurrency > 0,
+        "loadgen needs at least one submitter"
+    );
     assert!(config.rate_hz > 0.0, "arrival rate must be positive");
-    let workers = match config.mode {
-        LoadgenMode::PerConnection => config.connections,
-        LoadgenMode::Multiplexed { concurrency } => {
-            assert!(concurrency > 0, "multiplexed mode needs concurrency > 0");
-            concurrency
-        }
-    };
+    let workers = config.concurrency;
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
     let total_weight: f64 = config.classes.iter().map(|c| c.weight).sum();
@@ -375,68 +359,49 @@ pub fn run(config: &LoadgenConfig) -> LoadReport {
         });
     }
 
-    // Multiplexed mode shares `connections` pipelined clients across all
-    // submitter threads; per-connection mode gives each worker its own
-    // serial client inside the worker loop.
-    let mux_clients: Vec<Arc<MultiplexClient>> = match config.mode {
-        LoadgenMode::PerConnection => Vec::new(),
-        LoadgenMode::Multiplexed { .. } => (0..config.connections)
-            .filter_map(|i| {
-                let mut client_config = config.client.clone();
-                client_config.seed = config
-                    .seed
-                    .wrapping_add(0xD1B5_4A32_D192_ED03u64.wrapping_mul(i as u64 + 1));
-                MultiplexClient::new(&config.addr, client_config)
-                    .ok()
-                    .map(Arc::new)
-            })
-            .collect(),
-    };
+    let clients = (0..config.connections)
+        .map(|i| {
+            let mut client_config = config.client.clone();
+            // Distinct jitter stream per client, still derived from the seed.
+            client_config.seed = config
+                .seed
+                .wrapping_add(0xD1B5_4A32_D192_ED03u64.wrapping_mul(i as u64 + 1));
+            MultiplexClient::new(&config.addr, client_config).map(Arc::new)
+        })
+        .collect::<io::Result<Vec<_>>>();
 
     let started = Instant::now();
-    let mut handles = Vec::with_capacity(workers);
-    for (worker, schedule) in schedules.into_iter().enumerate() {
-        let addr = config.addr.clone();
-        let classes = config.classes.clone();
-        let tenants = config.tenants.clone();
-        let wait_grace = config.wait_grace;
-        let mut client_config = config.client.clone();
-        // Distinct jitter stream per worker, still derived from the seed.
-        client_config.seed = config
-            .seed
-            .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(worker as u64 + 1));
-        let mux = if mux_clients.is_empty() {
-            None
-        } else {
-            Some(Arc::clone(&mux_clients[worker % mux_clients.len()]))
-        };
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("eugene-loadgen-{worker}"))
-                .spawn(move || match mux {
-                    Some(client) => {
-                        mux_worker_loop(&client, &classes, &tenants, schedule, started, wait_grace)
-                    }
-                    None => worker_loop(
-                        &addr,
-                        client_config,
-                        &classes,
-                        &tenants,
-                        schedule,
-                        started,
-                        wait_grace,
-                    ),
-                })
-                .expect("spawn loadgen worker"),
-        );
-    }
-
     let mut tally = WorkerTally::new(config.tenants.len());
-    for handle in handles {
-        let part = handle.join().expect("loadgen worker panicked");
-        tally.total.merge(part.total);
-        for (row, part_row) in tally.tenants.iter_mut().zip(part.tenants) {
-            row.merge(part_row);
+    match clients {
+        Ok(clients) => {
+            let handles: Vec<_> = schedules
+                .into_iter()
+                .enumerate()
+                .map(|(worker, schedule)| {
+                    let client = Arc::clone(&clients[worker % clients.len()]);
+                    let classes = config.classes.clone();
+                    let tenants = config.tenants.clone();
+                    let wait_grace = config.wait_grace;
+                    std::thread::Builder::new()
+                        .name(format!("eugene-loadgen-{worker}"))
+                        .spawn(move || {
+                            worker_loop(&client, &classes, &tenants, schedule, started, wait_grace)
+                        })
+                        .expect("spawn loadgen worker")
+                })
+                .collect();
+            for handle in handles {
+                let part = handle.join().expect("loadgen worker panicked");
+                tally.total.merge(part.total);
+                for (row, part_row) in tally.tenants.iter_mut().zip(part.tenants) {
+                    row.merge(part_row);
+                }
+            }
+        }
+        // An unresolvable address loses every request to the wire.
+        Err(_) => {
+            tally.total.requests = config.total_requests as u64;
+            tally.total.errors = config.total_requests as u64;
         }
     }
     let elapsed = started.elapsed();
@@ -513,57 +478,9 @@ fn submit_options(
     }
 }
 
+/// One submitter: fires its share of the open-loop schedule through a
+/// shared client, waiting for each answer before the next submit.
 fn worker_loop(
-    addr: &str,
-    client_config: ClientConfig,
-    classes: &[ClassSpec],
-    tenants: &[TenantSpec],
-    schedule: Vec<PlannedRequest>,
-    started: Instant,
-    wait_grace: Duration,
-) -> WorkerTally {
-    let mut tally = WorkerTally::new(tenants.len());
-    let mut client = match EugeneClient::new(addr, client_config) {
-        Ok(client) => client,
-        Err(_) => {
-            tally.total.errors = schedule.len() as u64;
-            tally.total.requests = schedule.len() as u64;
-            return tally;
-        }
-    };
-    for planned in schedule {
-        // Open loop: fire at the scheduled instant regardless of how the
-        // previous request fared.
-        let now = started.elapsed();
-        if planned.at > now {
-            std::thread::sleep(planned.at - now);
-        }
-        let spec = &classes[planned.class];
-        let options = submit_options(&planned, tenants, spec, wait_grace);
-        let sent = Instant::now();
-        let outcome = client
-            .infer_with(
-                &spec.name,
-                &planned.payload,
-                Duration::from_millis(spec.budget_ms) + wait_grace,
-                &options,
-            )
-            .map(|outcome| Answer {
-                latency_ms: sent.elapsed().as_secs_f64() * 1e3,
-                expired: outcome.expired,
-                degraded: outcome.degraded,
-                stages: outcome.stages_executed,
-                confidence: outcome.confidence,
-            });
-        tally.note(planned.tenant, &outcome);
-    }
-    tally
-}
-
-/// Multiplexed submitter: same open-loop schedule, but requests go
-/// through a shared pipelined client, so many submitters interleave their
-/// in-flight requests on the same socket.
-fn mux_worker_loop(
     client: &MultiplexClient,
     classes: &[ClassSpec],
     tenants: &[TenantSpec],
@@ -573,6 +490,8 @@ fn mux_worker_loop(
 ) -> WorkerTally {
     let mut tally = WorkerTally::new(tenants.len());
     for planned in schedule {
+        // Open loop: fire at the scheduled instant regardless of how the
+        // previous request fared.
         let now = started.elapsed();
         if planned.at > now {
             std::thread::sleep(planned.at - now);

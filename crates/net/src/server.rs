@@ -64,8 +64,8 @@ pub struct GatewayConfig {
     /// Per-tenant admission quotas, keyed by the trailing `tenant` field
     /// on `Submit`. Identified tenants not listed here get
     /// `default_tenant_quota`; requests carrying no tenant ride the
-    /// anonymous class-utility admission path unchanged (see
-    /// [`crate::tenant`]).
+    /// anonymous class-utility admission path unchanged (see the
+    /// `tenant` module).
     pub tenant_quotas: HashMap<String, TenantQuota>,
     /// Quota applied to identified tenants absent from `tenant_quotas`.
     pub default_tenant_quota: TenantQuota,

@@ -3,8 +3,8 @@
 //!
 //! A [`ShardRouter`] owns N gateway shards (each wrapping its own
 //! [`ServingRuntime`]) and exposes the exact same wire protocol as a
-//! single gateway, so existing [`crate::client::EugeneClient`] /
-//! [`crate::client::MultiplexClient`] users work unchanged. Every
+//! single gateway, so [`crate::client::MultiplexClient`] users work
+//! unchanged. Every
 //! [`Frame::Submit`] is steered by a consistent-hash ring
 //! ([`HashRing`]) over the request's routing key — the client-provided
 //! [`crate::wire::SubmitRequest::routing_key`] when present, a

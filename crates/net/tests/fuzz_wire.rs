@@ -5,7 +5,7 @@ mod common;
 
 use common::start_gateway;
 use eugene_net::wire::{decode_frame, encode_frame, Frame, SubmitRequest};
-use eugene_net::{ClientConfig, EugeneClient, GatewayConfig};
+use eugene_net::{ClientConfig, GatewayConfig, MultiplexClient};
 use eugene_serve::RuntimeConfig;
 use proptest::prelude::*;
 use std::io::Write;
@@ -184,7 +184,7 @@ fn gateway_survives_garbage_connections() {
     }
 
     // The gateway must still answer a well-behaved client.
-    let mut client = EugeneClient::new(addr, ClientConfig::default()).expect("resolve loopback");
+    let client = MultiplexClient::new(addr, ClientConfig::default()).expect("resolve loopback");
     let rtt = client
         .ping(Duration::from_secs(5))
         .expect("gateway still alive");

@@ -13,7 +13,7 @@
 mod common;
 
 use common::start_gateway;
-use eugene_net::{loadgen, ClassSpec, GatewayConfig, LoadReport, LoadgenConfig, LoadgenMode};
+use eugene_net::{loadgen, ClassSpec, GatewayConfig, LoadReport, LoadgenConfig};
 use eugene_serve::{OverloadPolicy, RuntimeConfig};
 use std::time::Duration;
 
@@ -88,7 +88,7 @@ fn drive(overload: OverloadPolicy, seed: u64) -> LoadReport {
         // Pipelined submitters so the open-loop schedule is actually
         // offered: serial per-connection clients would throttle the load
         // to `connections / latency` and never push past the knee.
-        mode: LoadgenMode::Multiplexed { concurrency: 64 },
+        concurrency: 64,
         keyspace: None,
         tenants: Vec::new(),
         // An anytime answer produced at the server's deadline needs a

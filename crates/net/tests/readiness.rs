@@ -6,7 +6,7 @@ mod common;
 
 use common::start_gateway;
 use eugene_net::wire::{self, Frame, FrameBuffer, PROTOCOL_VERSION};
-use eugene_net::{ClientConfig, EugeneClient, Gateway, GatewayConfig};
+use eugene_net::{ClientConfig, Gateway, GatewayConfig, MultiplexClient};
 use eugene_serve::RuntimeConfig;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -39,8 +39,7 @@ fn connection_churn_drains_closed_sockets() {
     let status = gateway.status();
 
     for cycle in 0..CYCLES {
-        let mut client =
-            EugeneClient::new(addr, ClientConfig::default()).expect("resolve loopback");
+        let client = MultiplexClient::new(addr, ClientConfig::default()).expect("resolve loopback");
         let outcome = client
             .infer("churn", &[cycle as f32], Duration::from_secs(5))
             .unwrap_or_else(|e| panic!("cycle {cycle}: {e}"));
@@ -111,7 +110,7 @@ fn idle_connections_hold_on_a_single_thread() {
     );
 
     // A working request among the idle crowd completes promptly.
-    let mut client = EugeneClient::new(addr, ClientConfig::default()).expect("resolve");
+    let client = MultiplexClient::new(addr, ClientConfig::default()).expect("resolve");
     let started = Instant::now();
     let outcome = client
         .infer("busy", &[3.0], Duration::from_secs(5))

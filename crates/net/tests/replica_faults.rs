@@ -12,7 +12,7 @@ mod common;
 
 use common::{shard_runtime, start_router};
 use eugene_net::shard::{ShardConfig, ShardRouter};
-use eugene_net::{ClientConfig, GatewayConfig, LoadgenConfig, LoadgenMode, MultiplexClient};
+use eugene_net::{ClientConfig, GatewayConfig, LoadgenConfig, MultiplexClient};
 use eugene_serve::RuntimeConfig;
 use std::time::{Duration, Instant};
 
@@ -65,7 +65,7 @@ fn loadgen_config(addr: String, total: usize, seed: u64) -> LoadgenConfig {
         total_requests: total,
         rate_hz: 600.0,
         seed,
-        mode: LoadgenMode::Multiplexed { concurrency: 8 },
+        concurrency: 8,
         keyspace: Some(64),
         classes: vec![eugene_net::loadgen::ClassSpec {
             name: "replicated".to_owned(),

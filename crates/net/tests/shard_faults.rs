@@ -8,9 +8,7 @@ mod common;
 use common::{shard_runtime, start_router};
 use eugene_net::shard::{FailoverPolicy, ReplicaConfig, ShardConfig, ShardRouter};
 use eugene_net::wire::RejectReason;
-use eugene_net::{
-    ClientConfig, ClientError, GatewayConfig, LoadgenConfig, LoadgenMode, MultiplexClient,
-};
+use eugene_net::{ClientConfig, ClientError, GatewayConfig, LoadgenConfig, MultiplexClient};
 use eugene_serve::RuntimeConfig;
 use std::time::{Duration, Instant};
 
@@ -236,7 +234,7 @@ fn loadgen_completes_through_a_kill() {
         total_requests: TOTAL,
         rate_hz: 600.0,
         seed: 11,
-        mode: LoadgenMode::Multiplexed { concurrency: 8 },
+        concurrency: 8,
         keyspace: Some(64),
         client: ClientConfig {
             // Retries re-admit ShardLost sessions onto survivors, so the

@@ -10,7 +10,7 @@
 //! once, at compile time:
 //!
 //! - **Fusion** — single-consumer `MatMul → BiasAdd → Relu` chains
-//!   collapse into one [`FusedGemm`](Step) whose elementwise tail runs
+//!   collapse into one `FusedGemm` step whose elementwise tail runs
 //!   inside the GEMM micro-kernel epilogue (`eugene-tensor`'s
 //!   [`Matrix::matmul_epilogue_into`]).
 //! - **Weight pre-packing** — the blocked kernel's column panels

@@ -116,7 +116,7 @@ impl StageCostModel {
     /// milliseconds: the measured EMA when the stage has run, the
     /// analytic prior otherwise. Stages past the end of the model reuse
     /// the deepest known stage (degenerate models fall back to
-    /// [`DEFAULT_STAGE_MS`]).
+    /// `DEFAULT_STAGE_MS`).
     pub fn estimate_ms(&self, stage: usize) -> f64 {
         self.estimate_precision_ms(stage, Precision::F32)
     }

@@ -248,7 +248,7 @@ impl Matrix {
 
     /// Matrix product `self * rhs`, validating dimensions.
     ///
-    /// Runs on the cache-blocked kernels in [`crate::kernels`], splitting
+    /// Runs on the crate's cache-blocked kernels, splitting
     /// output rows across the shared worker pool for large products (see
     /// [`crate::set_parallelism`]). Each output row is bitwise identical
     /// whether computed alone, inside a larger batch, or on any thread
@@ -423,7 +423,7 @@ impl Matrix {
     /// Matrix product `self^T * rhs`.
     ///
     /// Packs `self^T` into a row-major buffer and reuses the blocked
-    /// [`crate::kernels`] path, so backward passes get the same blocking
+    /// kernel path, so backward passes get the same blocking
     /// and parallelism as forward ones.
     ///
     /// # Panics
@@ -451,7 +451,7 @@ impl Matrix {
     /// Matrix product `self * rhs^T`.
     ///
     /// Packs `rhs^T` into a row-major buffer and reuses the blocked
-    /// [`crate::kernels`] path.
+    /// kernel path.
     ///
     /// # Panics
     ///

@@ -358,7 +358,7 @@ impl Epilogue<'_> {
 }
 
 /// Pre-packed f32 GEMM weights: the column panels
-/// [`gemm_blocked_fused_rows`] would otherwise rebuild from the
+/// `gemm_blocked_fused_rows` would otherwise rebuild from the
 /// row-major weight matrix on **every** dispatch, packed once and
 /// reused. Packing is pure layout (columns past `n` zero-padded, like
 /// the per-call path), so a prepacked product is bitwise identical to

@@ -1,8 +1,8 @@
 //! Connection multiplexing in action: 64 tagged inference requests
 //! pipelined over ONE TCP connection, answered out of order and demuxed
-//! back to their submitters — then the same work pushed through the
-//! serial one-request-at-a-time client on one connection, to show what
-//! pipelining buys.
+//! back to their submitters — then the same work pushed through the same
+//! client one request at a time, each answer awaited before the next
+//! submit, to show what pipelining buys.
 //!
 //! Every data frame on the wire carries a `client_tag`; `MultiplexClient`
 //! allocates a fresh tag per submit and a background reader routes each
@@ -15,7 +15,7 @@
 //! Run: `cargo run --release --example multiplexed_pipelining`
 
 use eugene::data::{SyntheticImages, SyntheticImagesConfig};
-use eugene::net::{ClientConfig, EugeneClient, GatewayConfig, MultiplexClient};
+use eugene::net::{ClientConfig, GatewayConfig, MultiplexClient};
 use eugene::service::{Eugene, SchedulerKind, ServeOptions, TrainRequest};
 use eugene::tensor::seeded_rng;
 use std::time::{Duration, Instant};
@@ -96,11 +96,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         status.peak_in_flight(),
     );
 
-    // --- Serial baseline: same socket count (one), one request at a time.
-    let mut serial = EugeneClient::new(addr, ClientConfig::default())?;
+    // --- Serial baseline: the same client and connection, each submit
+    // waited for before the next, so one request is in flight at a time.
     let started = Instant::now();
     for i in 0..BURST {
-        serial.infer("interactive", stream.sample(i), Duration::from_secs(5))?;
+        mux.submit(
+            "interactive",
+            stream.sample(i),
+            Duration::from_secs(5),
+            false,
+        )?
+        .wait()?;
     }
     let serial_elapsed = started.elapsed();
     println!(

@@ -9,7 +9,7 @@
 //! Run: `cargo run --release --example serving_over_network`
 
 use eugene::data::{SyntheticImages, SyntheticImagesConfig};
-use eugene::net::{ClientConfig, EugeneClient, GatewayConfig};
+use eugene::net::{ClientConfig, GatewayConfig, MultiplexClient};
 use eugene::service::{Eugene, SchedulerKind, ServeOptions, TrainRequest};
 use eugene::tensor::seeded_rng;
 use std::time::Duration;
@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A client on the other side of the socket. `want_progress` asks the
     // gateway to stream one StageUpdate frame per executed stage, so the
     // client watches confidence build (and early exit trigger) live.
-    let mut client = EugeneClient::new(
+    let client = MultiplexClient::new(
         addr,
         ClientConfig {
             want_progress: true,

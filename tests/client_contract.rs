@@ -1,13 +1,15 @@
-//! Stale-frame handling: frames addressed to a tag that is no longer
-//! pending (timed-out attempts, old tags after reconnect) must be counted
-//! and dropped — never delivered, and never allowed to influence backoff.
+//! The client's contract, in tier-1: frames for a tag that is no longer
+//! pending are counted and dropped (never delivered, never allowed to set
+//! a backoff floor), a lapsed deadline abandons the request but keeps the
+//! connection, and the retry loop never outlives its budget.
 
+#[path = "../crates/net/tests/common/mod.rs"]
 mod common;
 
 use common::start_gateway;
-use eugene_net::wire::{self, Frame, FrameBuffer, WireResponse, PROTOCOL_VERSION};
-use eugene_net::{ClientConfig, ClientError, EugeneClient, GatewayConfig, MultiplexClient};
-use eugene_serve::RuntimeConfig;
+use eugene::net::wire::{self, Frame, FrameBuffer, WireResponse, PROTOCOL_VERSION};
+use eugene::net::{ClientConfig, ClientError, GatewayConfig, MultiplexClient};
+use eugene::serve::RuntimeConfig;
 use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
 
@@ -94,9 +96,9 @@ fn stale_then_answer_server() -> SocketAddr {
 }
 
 #[test]
-fn serial_client_counts_and_ignores_stale_frames() {
+fn client_counts_and_ignores_stale_frames() {
     let addr = stale_then_answer_server();
-    let mut client = EugeneClient::new(addr, ClientConfig::default()).expect("resolve");
+    let client = MultiplexClient::new(addr, ClientConfig::default()).expect("resolve");
     let started = Instant::now();
     let outcome = client
         .infer("stale", &[1.0], Duration::from_secs(5))
@@ -106,35 +108,18 @@ fn serial_client_counts_and_ignores_stale_frames() {
         outcome.attempts, 1,
         "a stale Reject must not be treated as a rejection of this attempt"
     );
-    assert_eq!(client.stale_frames(), 3, "all three stale frames counted");
     assert!(
         started.elapsed() < Duration::from_secs(5),
         "the stale Reject's 60s retry hint must not delay anything"
     );
-}
-
-#[test]
-fn mux_client_counts_and_ignores_stale_frames() {
-    let addr = stale_then_answer_server();
-    let client = MultiplexClient::new(addr, ClientConfig::default()).expect("resolve");
-    let outcome = client
-        .submit("stale", &[1.0], Duration::from_secs(5), false)
-        .expect("submit")
-        .wait()
-        .expect("real final must arrive");
-    assert_eq!(outcome.predicted, Some(42));
-    // The reader may still be mid-burst when wait() returns; give it a
-    // moment to count the stragglers.
-    let deadline = Instant::now() + Duration::from_secs(2);
-    while client.stale_frames() < 3 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    // The reader counts the burst before it routes the real Final, so
+    // the count is complete by the time `infer` returns.
     assert_eq!(client.stale_frames(), 3, "all three stale frames counted");
 }
 
-/// A request whose client-side deadline lapses is abandoned: its late
-/// `Final` counts as stale, and — unlike the serial client, which drops
-/// the socket — the multiplexed connection keeps serving other requests.
+/// A request whose client-side deadline lapses is abandoned, not the
+/// socket: its late `Final` counts as stale, and the connection keeps
+/// serving other requests.
 #[test]
 fn abandoned_deadline_leaves_the_pipeline_usable() {
     let gateway = start_gateway(
@@ -187,4 +172,52 @@ fn abandoned_deadline_leaves_the_pipeline_usable() {
         "the abandoned request's late Final must be counted as stale"
     );
     assert!(client.is_connected(), "deadline must not kill the pipe");
+}
+
+#[test]
+fn client_retry_never_outlives_its_budget() {
+    // high_water == hard_cap == 0 rejects every class unconditionally, so
+    // the client's retry loop can only end via its own deadline logic.
+    let gateway = start_gateway(
+        vec![0.9],
+        Duration::ZERO,
+        RuntimeConfig {
+            num_workers: 1,
+            ..RuntimeConfig::default()
+        },
+        GatewayConfig {
+            high_water: 0,
+            hard_cap: 0,
+            ..GatewayConfig::default()
+        },
+    );
+    let client = MultiplexClient::new(
+        gateway.local_addr(),
+        ClientConfig {
+            max_attempts: 1_000, // budget, not attempts, must stop the loop
+            backoff_base: Duration::from_millis(5),
+            backoff_cap: Duration::from_millis(40),
+            ..ClientConfig::default()
+        },
+    )
+    .expect("resolve loopback");
+
+    let budget = Duration::from_millis(200);
+    let started = Instant::now();
+    let result = client.infer("any", &[1.0], budget);
+    let elapsed = started.elapsed();
+    match result {
+        Err(ClientError::Rejected { .. }) | Err(ClientError::DeadlineExhausted) => {}
+        other => panic!("expected rejection or deadline, got {other:?}"),
+    }
+    // The final backoff decision happens strictly before the deadline, so
+    // the loop may only exceed the budget by scheduling noise (generous
+    // here: the whole workspace's test binaries may be competing for
+    // cores). An unbounded loop would run for many seconds — max_attempts
+    // alone permits ~1000 round trips.
+    assert!(
+        elapsed < budget + Duration::from_millis(800),
+        "retry loop ran {elapsed:?} against a {budget:?} budget"
+    );
+    gateway.shutdown();
 }
