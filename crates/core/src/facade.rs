@@ -675,13 +675,11 @@ impl Eugene {
     /// nothing changes on the client side except (optionally) supplying a
     /// routing key for session affinity.
     ///
-    /// `replica` sets the tier's replication posture: under the default
-    /// [`eugene_net::FailoverPolicy::Replay`], a shard dying mid-flight
-    /// transparently replays its in-flight requests to each key's warm
-    /// standby (the ring successor) and clients see normal answers;
-    /// under [`eugene_net::FailoverPolicy::Reject`], failures surface as
-    /// the legacy [`eugene_net::RejectReason::ShardLost`] rejects while
-    /// new sessions re-admit onto survivors. The router also supports
+    /// `replica` sets the tier's replica-group size. A shard dying
+    /// mid-flight transparently replays its in-flight requests to each
+    /// key's warm standby (the ring successor), so clients see normal
+    /// answers; a [`eugene_net::RejectReason::ShardLost`] reject answers
+    /// only a request no shard can take. The router also supports
     /// live elasticity ([`ShardRouter::add_shard`] /
     /// [`ShardRouter::remove_shard`]) with a double-routing migration
     /// window governed by [`ReplicaConfig::migration_window`].

@@ -35,10 +35,8 @@
 //!   hashes routing keys across N gateway shards (each with its own
 //!   runtime). Every keyspace range has a replica group (primary plus
 //!   warm standby); a dead shard's in-flight requests transparently
-//!   replay to the standby under the default
-//!   [`shard::FailoverPolicy::Replay`] (or are answered
-//!   [`wire::RejectReason::ShardLost`] under the legacy
-//!   [`shard::FailoverPolicy::Reject`] contract), shards can be added
+//!   replay to the standby (a [`wire::RejectReason::ShardLost`] reject
+//!   answers only a request no shard can take), shards can be added
 //!   and removed live with bounded-remap migration, and an optional
 //!   load-aware rebalancer narrows per-shard rps spread — same wire
 //!   protocol, so the client works unchanged against it.
@@ -67,8 +65,6 @@ pub use client::{
 };
 pub use loadgen::{ClassSpec, LoadReport, LoadgenConfig, TenantLoadReport, TenantSpec};
 pub use server::{Gateway, GatewayBackend, GatewayConfig, GatewayStatus};
-pub use shard::{
-    FailoverPolicy, HashRing, RebalanceConfig, ReplicaConfig, ShardConfig, ShardRouter,
-};
+pub use shard::{HashRing, RebalanceConfig, ReplicaConfig, ShardConfig, ShardRouter};
 pub use tenant::TenantQuota;
 pub use wire::{Frame, RejectReason, SubmitRequest, WireError, WireResponse, PROTOCOL_VERSION};

@@ -24,21 +24,27 @@
 //! ([`GatewayStatus::accept_failed`], which also covers a poisoned
 //! readiness reactor). When a shard dies — probe detection, a failed
 //! dial/write, or an explicit [`ShardRouter::kill_shard`] — the router
-//! removes it from the ring and severs its proxy connections. What
-//! happens to the requests in flight on it is the connection's
-//! [`FailoverPolicy`]:
+//! removes it from the ring and severs its proxy connections. Every
+//! submit in flight on it is then *replayed* to the key's new ring
+//! owner — the warm standby — and the client sees a normal `Final`,
+//! never an error. A per-connection tag-ownership table guarantees
+//! exactly-once: only the path that *claims* a tag (removes it from the
+//! table) may answer it, so a replayed request is never answered twice
+//! even when the original shard's answer races the failover. A
+//! [`RejectReason::ShardLost`] reject answers a request only when no
+//! shard can take it: the ring is empty, its reroute attempts ran out,
+//! or the connection drain's failsafe expired.
 //!
-//! - [`FailoverPolicy::Replay`] (default): every in-flight submit is
-//!   *replayed* to the key's new ring owner — the warm standby — and the
-//!   client sees a normal `Final`, never an error. A per-connection
-//!   tag-ownership table guarantees exactly-once: only the path that
-//!   *claims* a tag (removes it from the table) may answer it, so a
-//!   replayed request is never answered twice even when the original
-//!   shard's answer races the failover.
-//! - [`FailoverPolicy::Reject`]: the pre-replication contract — each
-//!   in-flight tag is answered with a well-defined [`Frame::Reject`]
-//!   carrying [`RejectReason::ShardLost`] (never a hang, never a
-//!   fabricated `Final`), counted exactly once on the router.
+//! # How router threads wake
+//!
+//! No router thread polls on a timer. Each client connection's thread
+//! waits in its own [`Poller`] on the client socket plus a
+//! [`reactor::Waker`]; a failover sweep parks its tags and fires that
+//! waker, the upstream reader that claims the last tag of a draining
+//! connection fires it, and router stop fires every connection's.
+//! Upstream readers block in `read` until severing shuts their socket
+//! down or the shard closes it after a drain. Only the health probe
+//! ticks, and handshakes bound their reads by their own deadline.
 //!
 //! # Live elasticity
 //!
@@ -72,13 +78,12 @@ use crate::server::{Gateway, GatewayConfig, GatewayStatus};
 use crate::tenant::TenantGovernor;
 use crate::wire::{self, Frame, FrameBuffer, RejectReason, WireError, PROTOCOL_VERSION};
 use eugene_serve::{ModelRegistry, RuntimeStats, ServingRuntime, StatsSnapshot};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Read};
 use std::net::{Shutdown as SocketShutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -240,21 +245,6 @@ impl HashRing {
     }
 }
 
-/// What a router connection does with requests in flight on a shard that
-/// dies under them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FailoverPolicy {
-    /// Transparently replay each in-flight submit to the key's new ring
-    /// owner (the warm standby). The client sees a normal answer —
-    /// failover costs latency, not correctness.
-    #[default]
-    Replay,
-    /// The pre-replication contract: answer each in-flight tag with a
-    /// [`RejectReason::ShardLost`] reject and let the client retry on a
-    /// fresh session.
-    Reject,
-}
-
 /// Replication policy for a [`ShardRouter`].
 #[derive(Debug, Clone)]
 pub struct ReplicaConfig {
@@ -263,8 +253,6 @@ pub struct ReplicaConfig {
     /// targets. Clamped to at least 2 (primary + warm standby) wherever
     /// it is used.
     pub replicas: usize,
-    /// What to do with in-flight requests when their shard dies.
-    pub failover: FailoverPolicy,
     /// Double-routing window opened by [`ShardRouter::add_shard`]:
     /// while it lasts, a dial failure against the new shard falls back
     /// to the range's previous owner instead of marking the newcomer
@@ -276,7 +264,6 @@ impl Default for ReplicaConfig {
     fn default() -> Self {
         Self {
             replicas: 2,
-            failover: FailoverPolicy::Replay,
             migration_window: Duration::from_millis(250),
         }
     }
@@ -325,15 +312,7 @@ pub struct ShardConfig {
     /// Ring seed: routers sharing a seed (and shard count) agree on the
     /// full key→shard assignment.
     pub seed: u64,
-    /// How often the health probe re-checks each shard's accept health.
-    pub probe_interval: Duration,
-    /// Read-poll granularity on router sockets (client and upstream):
-    /// bounds how long threads take to observe shutdown/severing.
-    pub read_poll: Duration,
-    /// `retry_after_ms` hint carried by synthesized `ShardLost` rejects:
-    /// a retry opens a fresh session, which re-admits onto survivors.
-    pub lost_retry_ms: u64,
-    /// Replication and failover policy.
+    /// Replication policy.
     pub replica: ReplicaConfig,
     /// Load-aware virtual-node rebalancing; `None` (the default) keeps
     /// the ring assignment static.
@@ -349,15 +328,24 @@ impl Default for ShardConfig {
             addr: "127.0.0.1:0".to_owned(),
             virtual_nodes: 64,
             seed: 0,
-            probe_interval: Duration::from_millis(25),
-            read_poll: Duration::from_millis(10),
-            lost_retry_ms: 25,
             replica: ReplicaConfig::default(),
             rebalance: None,
             gateway: GatewayConfig::default(),
         }
     }
 }
+
+/// How often the health probe re-checks each shard's accept health.
+const PROBE_INTERVAL: Duration = Duration::from_millis(25);
+
+/// `retry_after_ms` hint carried by synthesized `ShardLost` rejects: a
+/// retry opens a fresh session, which re-admits onto survivors.
+const LOST_RETRY_MS: u64 = 25;
+
+/// How long a connection drain waits for its in-flight answers before
+/// answering the rest `ShardLost`, and how long router stop waits for
+/// its connections before cutting off clients that stopped reading.
+const DRAIN_FAILSAFE: Duration = Duration::from_secs(10);
 
 /// Owner sentinel for a tag not yet assigned to any upstream.
 const NO_SHARD: usize = usize::MAX;
@@ -376,25 +364,37 @@ struct TagEntry {
     /// Routing attempts spent (dials and writes both count); bounded by
     /// [`SUBMIT_REROUTE_LIMIT`] before the router gives up.
     attempts: usize,
-    /// Set when the owner died and the tag is queued for replay; a
-    /// parked tag still claims normally if the old shard's answer
-    /// already arrived, which makes the queued replay a no-op.
+    /// Set when the owner died and the tag awaits replay by the
+    /// connection's thread; a parked tag still claims normally if the
+    /// old shard's answer already arrived, which makes the replay a
+    /// no-op.
     parked: bool,
 }
 
 /// Per-client-connection tag-ownership table: the single source of truth
 /// for "who answers this tag". Every terminal answer to the client —
-/// a forwarded `Final`/`Reject`, a failover reject, or a synthesized
-/// `ShardLost` — must first *claim* the tag (remove it here); whoever
-/// claims it answers, everyone else drops. That makes answering
-/// structurally exactly-once even when a shard's real answer races its
-/// death.
-#[derive(Default)]
+/// a forwarded `Final`/`Reject` or a synthesized `ShardLost` — must
+/// first *claim* the tag (remove it here); whoever claims it answers,
+/// everyone else drops. That makes answering structurally exactly-once
+/// even when a shard's real answer races its death.
 struct TagTable {
     tags: Mutex<HashMap<u64, TagEntry>>,
+    /// The connection thread's wake-up: fired when tags are parked for
+    /// replay and, once `draining`, when the last tag is claimed.
+    waker: reactor::Waker,
+    /// Set when the connection starts its drain.
+    draining: AtomicBool,
 }
 
 impl TagTable {
+    fn new(waker: reactor::Waker) -> Self {
+        Self {
+            tags: Mutex::new(HashMap::new()),
+            waker,
+            draining: AtomicBool::new(false),
+        }
+    }
+
     /// Registers a fresh submit before any routing attempt, so an answer
     /// (however fast) always finds its owner.
     fn begin(&self, key: u64, submit: wire::SubmitRequest) {
@@ -414,11 +414,15 @@ impl TagTable {
 
     /// Claims `tag` if `(shard, generation)` currently owns it: the
     /// caller gains the exclusive right (and duty) to answer the client.
+    /// Claiming the last tag of a draining connection wakes its thread.
     fn claim_owned(&self, tag: u64, shard: usize, generation: u64) -> bool {
         let mut tags = self.tags.lock();
         match tags.get(&tag) {
             Some(e) if e.shard == shard && e.generation == generation => {
                 tags.remove(&tag);
+                if tags.is_empty() && self.draining.load(Ordering::Acquire) {
+                    self.waker.wake();
+                }
                 true
             }
             _ => false,
@@ -431,18 +435,20 @@ impl TagTable {
         matches!(tags.get(&tag), Some(e) if e.shard == shard && e.generation == generation)
     }
 
-    /// Marks every tag owned by `(shard, generation)` as parked and
-    /// returns them, for the Replay failover sweep. Parked entries stay
-    /// in the table (the replay will re-own them) but are skipped by
-    /// repeat sweeps.
-    fn park_owned(&self, shard: usize, generation: u64) -> Vec<u64> {
-        let mut tags = self.tags.lock();
-        let mut parked = Vec::new();
-        for (&tag, entry) in tags.iter_mut() {
+    /// Parks every tag owned by `(shard, generation)` for replay and
+    /// wakes the connection's thread; returns how many it parked.
+    /// Parked entries stay in the table (the replay will re-own them)
+    /// but are skipped by repeat sweeps.
+    fn park_owned(&self, shard: usize, generation: u64) -> u64 {
+        let mut parked = 0;
+        for entry in self.tags.lock().values_mut() {
             if entry.shard == shard && entry.generation == generation && !entry.parked {
                 entry.parked = true;
-                parked.push(tag);
+                parked += 1;
             }
+        }
+        if parked > 0 {
+            self.waker.wake();
         }
         parked
     }
@@ -453,32 +459,28 @@ impl TagTable {
     /// sweep *before* the write path stamped ownership (in which case
     /// the sweep saw nothing and only the writer can fail the tag over).
     /// The transition is under the table lock, so when writer and sweep
-    /// race, exactly one of them parks (and queues) the tag.
+    /// race, exactly one of them parks the tag.
     fn park_one(&self, tag: u64, shard: usize, generation: u64) -> bool {
-        let mut tags = self.tags.lock();
-        match tags.get_mut(&tag) {
+        let parked = match self.tags.lock().get_mut(&tag) {
             Some(e) if e.shard == shard && e.generation == generation && !e.parked => {
                 e.parked = true;
                 true
             }
             _ => false,
+        };
+        if parked {
+            self.waker.wake();
         }
+        parked
     }
 
-    /// Removes and returns every tag owned by `(shard, generation)`, for
-    /// the Reject failover sweep: the caller answers each with
-    /// `ShardLost`, exactly once.
-    fn take_owned(&self, shard: usize, generation: u64) -> Vec<u64> {
-        let mut tags = self.tags.lock();
-        let taken: Vec<u64> = tags
-            .iter()
-            .filter(|(_, e)| e.shard == shard && e.generation == generation)
+    /// Every tag awaiting replay.
+    fn parked(&self) -> Vec<u64> {
+        let tags = self.tags.lock();
+        tags.iter()
+            .filter(|(_, e)| e.parked)
             .map(|(&tag, _)| tag)
-            .collect();
-        for tag in &taken {
-            tags.remove(tag);
-        }
-        taken
+            .collect()
     }
 
     /// Claims `tag` regardless of owner (the routing loop giving up).
@@ -514,18 +516,9 @@ struct UpstreamShared {
     /// The connection's tag-ownership table (shared with its other
     /// upstreams and the routing loop).
     table: Arc<TagTable>,
-    /// Queue toward the connection's routing loop: tags parked by the
-    /// failover sweep, awaiting replay.
-    replay_tx: Mutex<mpsc::Sender<u64>>,
     /// Set once the upstream is unusable (severed, write failure, reader
     /// exit); the routing loop then dials a fresh upstream.
     dead: AtomicBool,
-    /// Failover policy for tags stranded on this upstream.
-    policy: FailoverPolicy,
-    /// Hint carried by synthesized rejects.
-    lost_retry_ms: u64,
-    /// Router-lifetime count of synthesized `ShardLost` rejects.
-    shard_lost: Arc<AtomicU64>,
     /// Router-lifetime count of tags replayed across a failover.
     failovers: Arc<AtomicU64>,
 }
@@ -539,70 +532,23 @@ impl UpstreamShared {
         let _ = self.writer.lock().shutdown(SocketShutdown::Both);
     }
 
-    /// Failover sweep, run by the reader exactly once when it exits.
-    /// Under `Replay`, parks every owned tag and queues it for replay;
-    /// under `Reject`, claims each and answers `ShardLost`. On a clean
-    /// drain every tag was already claimed by a forwarded answer, so the
-    /// sweep is a no-op.
+    /// Failover sweep, run by the reader exactly once when it exits:
+    /// parks every owned tag for replay. On a clean drain every tag was
+    /// already claimed by a forwarded answer, so the sweep is a no-op.
     fn fail_over(&self) {
-        match self.policy {
-            FailoverPolicy::Replay => {
-                let parked = self.table.park_owned(self.shard, self.generation);
-                if parked.is_empty() {
-                    return;
-                }
-                let tx = self.replay_tx.lock();
-                for tag in parked {
-                    self.failovers.fetch_add(1, Ordering::Relaxed);
-                    // A send can only fail after the routing loop (and
-                    // its drain) exited, where the failsafe already
-                    // answered everything left in the table.
-                    let _ = tx.send(tag);
-                }
-            }
-            FailoverPolicy::Reject => {
-                for client_tag in self.table.take_owned(self.shard, self.generation) {
-                    self.shard_lost.fetch_add(1, Ordering::Relaxed);
-                    let _ = wire::write_frame(
-                        &mut *self.client_writer.lock(),
-                        &Frame::Reject {
-                            client_tag,
-                            retry_after_ms: self.lost_retry_ms,
-                            reason: RejectReason::ShardLost,
-                        },
-                    );
-                }
-            }
-        }
+        let parked = self.table.park_owned(self.shard, self.generation);
+        self.failovers.fetch_add(parked, Ordering::Relaxed);
     }
 
     /// Single-tag failover, run by a failed submit write after severing.
     /// The reader's sweep may have already run — *before* the write path
     /// stamped this tag's ownership — in which case the sweep saw
-    /// nothing and only this call rescues the tag. The park/claim
-    /// transitions are serialized by the table lock, so when the sweep
-    /// and the writer race, exactly one queues (or rejects) the tag.
+    /// nothing and only this call rescues the tag. The park transition
+    /// is serialized by the table lock, so when the sweep and the writer
+    /// race, exactly one parks the tag.
     fn fail_over_tag(&self, tag: u64) {
-        match self.policy {
-            FailoverPolicy::Replay => {
-                if self.table.park_one(tag, self.shard, self.generation) {
-                    self.failovers.fetch_add(1, Ordering::Relaxed);
-                    let _ = self.replay_tx.lock().send(tag);
-                }
-            }
-            FailoverPolicy::Reject => {
-                if self.table.claim_owned(tag, self.shard, self.generation) {
-                    self.shard_lost.fetch_add(1, Ordering::Relaxed);
-                    let _ = wire::write_frame(
-                        &mut *self.client_writer.lock(),
-                        &Frame::Reject {
-                            client_tag: tag,
-                            retry_after_ms: self.lost_retry_ms,
-                            reason: RejectReason::ShardLost,
-                        },
-                    );
-                }
-            }
+        if self.table.park_one(tag, self.shard, self.generation) {
+            self.failovers.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -622,19 +568,13 @@ struct Upstream {
 /// no-op unless tags were stranded).
 fn upstream_reader_loop(mut stream: TcpStream, shared: Arc<UpstreamShared>) {
     let mut buffer = FrameBuffer::new();
+    // The socket has no read timeout: `sever`'s shutdown, or the shard
+    // closing after a drain, is what ends the read.
     loop {
         let frame = match buffer.poll(&mut stream) {
             Ok(Some(frame)) => frame,
-            Ok(None) => {
-                if shared.dead.load(Ordering::Acquire) {
-                    break;
-                }
-                continue;
-            }
-            Err(_) => {
-                shared.dead.store(true, Ordering::Release);
-                break;
-            }
+            Ok(None) => continue,
+            Err(_) => break,
         };
         match frame {
             // Forward only tags we own and can claim: a tag that failed
@@ -659,6 +599,7 @@ fn upstream_reader_loop(mut stream: TcpStream, shared: Arc<UpstreamShared>) {
             _ => {}
         }
     }
+    shared.dead.store(true, Ordering::Release);
     shared.fail_over();
 }
 
@@ -683,9 +624,6 @@ struct ShardSlot {
     /// upstreams are keyed by `(shard, generation)` so a connection can
     /// never reuse a severed socket from the previous generation.
     generation: AtomicU64,
-    /// Set while a graceful [`ShardRouter::remove_shard`] drain runs:
-    /// off the ring, still serving its in-flight work.
-    draining: AtomicBool,
     /// Live proxy connections into this shard, severed on death.
     upstreams: Mutex<Vec<Weak<UpstreamShared>>>,
 }
@@ -701,7 +639,6 @@ impl ShardSlot {
             retired: Mutex::new(StatsSnapshot::default()),
             alive: AtomicBool::new(true),
             generation: AtomicU64::new(0),
-            draining: AtomicBool::new(false),
             upstreams: Mutex::new(Vec::new()),
             gateway: Mutex::new(Some(gateway)),
         }
@@ -732,8 +669,24 @@ struct RouterShared {
     rebalances: AtomicU64,
     conn_counter: AtomicU64,
     accept_failed: AtomicBool,
-    /// Graceful-drain watcher threads spawned by `remove_shard`.
+    /// Graceful-drain threads spawned by `remove_shard`.
     drainers: Mutex<Vec<JoinHandle<()>>>,
+    /// Accepted client connections (finished ones reaped on accept).
+    conns: Mutex<Vec<ClientConn>>,
+    /// Client connection threads still running, and the condvar each
+    /// one signals on exit: router stop waits on it.
+    live_conns: Mutex<usize>,
+    conn_exited: Condvar,
+}
+
+/// One accepted client connection as the router tracks it: what stop
+/// needs to wake its thread and, past the drain failsafe, to cut it off.
+struct ClientConn {
+    handle: JoinHandle<()>,
+    waker: reactor::Waker,
+    /// A clone of the client socket: shutting it down unblocks a thread
+    /// stuck writing to a client that stopped reading.
+    socket: TcpStream,
 }
 
 impl RouterShared {
@@ -794,7 +747,6 @@ pub struct ShardRouter {
     accept_handle: Option<JoinHandle<()>>,
     probe_handle: Option<JoinHandle<()>>,
     rebalance_handle: Option<JoinHandle<()>>,
-    connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl ShardRouter {
@@ -832,18 +784,19 @@ impl ShardRouter {
             conn_counter: AtomicU64::new(0),
             accept_failed: AtomicBool::new(false),
             drainers: Mutex::new(Vec::new()),
+            conns: Mutex::new(Vec::new()),
+            live_conns: Mutex::new(0),
+            conn_exited: Condvar::new(),
         });
         let waker = reactor::Waker::new()?;
-        let connections: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
         let accept_handle = {
             let shared = Arc::clone(&shared);
-            let connections = Arc::clone(&connections);
             let waker = waker.clone();
             let poller = Poller::new()?;
             std::thread::Builder::new()
                 .name("eugene-shard-accept".to_owned())
-                .spawn(move || router_accept_loop(listener, shared, connections, poller, waker))
+                .spawn(move || router_accept_loop(listener, shared, poller, waker))
                 .expect("spawn shard accept thread")
         };
         let probe_handle = {
@@ -867,7 +820,6 @@ impl ShardRouter {
             accept_handle: Some(accept_handle),
             probe_handle: Some(probe_handle),
             rebalance_handle,
-            connections,
         })
     }
 
@@ -969,10 +921,9 @@ impl ShardRouter {
     }
 
     /// Kills shard `index` as a fault injection: the ring drops it, its
-    /// proxies are severed (in-flight requests fail over per the
-    /// connection policy — replayed to the standby, or answered
-    /// `ShardLost`), and only then is its gateway torn down. Returns
-    /// `false` if it was already down.
+    /// proxies are severed (in-flight requests replay to each key's new
+    /// owner, the warm standby), and only then is its gateway torn down.
+    /// Returns `false` if it was already down.
     pub fn kill_shard(&self, index: usize) -> bool {
         let slot = self.shared.slot(index);
         let generation = slot.generation.load(Ordering::Acquire);
@@ -1003,7 +954,7 @@ impl ShardRouter {
         let mut gateway_config = self.shared.config.gateway.clone();
         gateway_config.addr = "127.0.0.1:0".to_owned();
         let gateway = Gateway::start(runtime, gateway_config)?;
-        wait_accept_healthy(gateway.local_addr(), self.shared.config.read_poll)?;
+        wait_accept_healthy(gateway.local_addr())?;
         *slot.addr.lock() = gateway.local_addr();
         *slot.stats.lock() = gateway.stats();
         *slot.status.lock() = gateway.status();
@@ -1048,7 +999,7 @@ impl ShardRouter {
         let mut gateway_config = self.shared.config.gateway.clone();
         gateway_config.addr = "127.0.0.1:0".to_owned();
         let gateway = Gateway::start(runtime, gateway_config)?;
-        wait_accept_healthy(gateway.local_addr(), self.shared.config.read_poll)?;
+        wait_accept_healthy(gateway.local_addr())?;
         let index = {
             let mut slots = self.shared.slots.write();
             slots.push(Arc::new(ShardSlot::for_gateway(gateway)));
@@ -1064,11 +1015,12 @@ impl ShardRouter {
     }
 
     /// Live scale-in: takes shard `index` off the ring (new traffic
-    /// immediately re-routes to the ranges' standbys), then drains it in
-    /// the background — its gateway keeps serving until its in-flight
-    /// work completes, so nothing is lost — and finally shuts it down.
-    /// Refuses (returns `false`) for the last ring member or a shard
-    /// already down.
+    /// immediately re-routes to the ranges' standbys), then shuts its
+    /// gateway down in the background. The gateway's shutdown answers
+    /// every request it admitted, and a submit it never read fails over
+    /// to the key's new owner when its upstream closes, so nothing is
+    /// lost. Refuses (returns `false`) for the last ring member or a
+    /// shard already down.
     pub fn remove_shard(&self, index: usize) -> bool {
         let slot = self.shared.slot(index);
         {
@@ -1082,18 +1034,23 @@ impl ShardRouter {
             ring.remove(index);
         }
         self.shared.epoch.fetch_add(1, Ordering::Relaxed);
-        slot.draining.store(true, Ordering::Release);
-        let shared = Arc::clone(&self.shared);
         let handle = std::thread::Builder::new()
             .name("eugene-shard-drain".to_owned())
-            .spawn(move || drain_removed_shard(shared, index))
+            .spawn(move || {
+                let gateway = slot.gateway.lock().take();
+                if let Some(gateway) = gateway {
+                    gateway.shutdown();
+                }
+            })
             .expect("spawn shard drain thread");
         self.shared.drainers.lock().push(handle);
         true
     }
 
-    /// Stops accepting, joins every proxy connection, then drains each
-    /// surviving shard.
+    /// Stops accepting, lets every client connection drain (bounded by
+    /// the drain failsafe, after which a client that stopped reading has
+    /// its socket shut down), joins them, then drains each surviving
+    /// shard.
     pub fn shutdown(mut self) {
         self.shutdown_in_place();
     }
@@ -1110,9 +1067,27 @@ impl ShardRouter {
         if let Some(handle) = self.rebalance_handle.take() {
             let _ = handle.join();
         }
-        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.connections.lock());
-        for handle in handles {
-            let _ = handle.join();
+        let conns: Vec<ClientConn> = std::mem::take(&mut *self.shared.conns.lock());
+        for conn in &conns {
+            conn.waker.wake();
+        }
+        let deadline = Instant::now() + DRAIN_FAILSAFE;
+        let mut live = self.shared.live_conns.lock();
+        while *live > 0 {
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
+                break;
+            }
+            self.shared.conn_exited.wait_for(&mut live, remaining);
+        }
+        drop(live);
+        for conn in conns {
+            // Still running past the failsafe: blocked writing to a
+            // client that stopped reading.
+            if !conn.handle.is_finished() {
+                let _ = conn.socket.shutdown(SocketShutdown::Both);
+            }
+            let _ = conn.handle.join();
         }
         let drainers: Vec<JoinHandle<()>> = std::mem::take(&mut *self.shared.drainers.lock());
         for handle in drainers {
@@ -1136,10 +1111,15 @@ impl Drop for ShardRouter {
 /// Blocks until the gateway at `addr` completes a full
 /// `Hello`/`HelloAck` handshake (bounded at ~2 s): proof the accept path
 /// is live end to end, not merely that the port is bound.
-fn wait_accept_healthy(addr: SocketAddr, read_poll: Duration) -> io::Result<()> {
+fn wait_accept_healthy(addr: SocketAddr) -> io::Result<()> {
     let deadline = Instant::now() + Duration::from_secs(2);
     loop {
-        match probe_handshake(addr, read_poll, deadline) {
+        let probe =
+            TcpStream::connect_timeout(&addr, Duration::from_millis(250)).and_then(|mut stream| {
+                shard_handshake(&mut stream, deadline)
+                    .map_err(|e| io::Error::new(io::ErrorKind::BrokenPipe, e.to_string()))
+            });
+        match probe {
             Ok(()) => return Ok(()),
             Err(_) if Instant::now() < deadline => {
                 std::thread::sleep(Duration::from_millis(1));
@@ -1149,63 +1129,36 @@ fn wait_accept_healthy(addr: SocketAddr, read_poll: Duration) -> io::Result<()> 
     }
 }
 
-fn probe_handshake(addr: SocketAddr, read_poll: Duration, deadline: Instant) -> io::Result<()> {
-    let mut stream = TcpStream::connect_timeout(&addr, Duration::from_millis(250))?;
+/// The router's side of a shard handshake: sends `Hello` and waits for a
+/// valid `HelloAck` until `deadline`, with the time remaining as the
+/// read timeout, which it clears on success so later reads block.
+fn shard_handshake(stream: &mut TcpStream, deadline: Instant) -> Result<(), WireError> {
     stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(read_poll))?;
     wire::write_frame(
-        &mut stream,
+        stream,
         &Frame::Hello {
             max_version: PROTOCOL_VERSION,
         },
-    )
-    .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "probe hello failed"))?;
+    )?;
     let mut buffer = FrameBuffer::new();
     loop {
-        if Instant::now() >= deadline {
-            return Err(io::Error::new(
+        // Checked first: a zero read timeout is an error, not a poll.
+        let remaining = deadline.saturating_duration_since(Instant::now());
+        if remaining.is_zero() {
+            return Err(WireError::Io(io::Error::new(
                 io::ErrorKind::TimedOut,
-                "accept-health probe timed out",
-            ));
+                "shard handshake timed out",
+            )));
         }
-        match buffer.poll(&mut stream) {
-            Ok(Some(Frame::HelloAck { .. })) => return Ok(()),
-            Ok(Some(_)) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "expected HelloAck from probed shard",
-                ))
-            }
-            Ok(None) => continue,
-            Err(_) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::BrokenPipe,
-                    "probe handshake failed",
-                ))
-            }
+        stream.set_read_timeout(Some(remaining))?;
+        match buffer.poll(stream)? {
+            Some(Frame::HelloAck { version }) if (1..=PROTOCOL_VERSION).contains(&version) => break,
+            Some(_) => return Err(WireError::Malformed("expected HelloAck from shard")),
+            None => {}
         }
     }
-}
-
-/// Background drain for a gracefully removed shard: waits until its
-/// runtime reports zero in-flight work (bounded), then shuts the gateway
-/// down. The gateway's own shutdown drains whatever remains, so even a
-/// deadline hit loses nothing.
-fn drain_removed_shard(shared: Arc<RouterShared>, index: usize) {
-    let slot = shared.slot(index);
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !shared.stop.load(Ordering::Relaxed) && Instant::now() < deadline {
-        let in_flight = slot.stats.lock().in_flight();
-        if in_flight == 0 {
-            break;
-        }
-        std::thread::sleep(shared.config.read_poll);
-    }
-    slot.draining.store(false, Ordering::Release);
-    let gateway = slot.gateway.lock().take();
-    if let Some(gateway) = gateway {
-        gateway.shutdown();
-    }
+    stream.set_read_timeout(None)?;
+    Ok(())
 }
 
 const TOKEN_LISTENER: usize = 0;
@@ -1214,7 +1167,6 @@ const TOKEN_WAKER: usize = 1;
 fn router_accept_loop(
     listener: TcpListener,
     shared: Arc<RouterShared>,
-    connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
     mut poller: Poller,
     waker: reactor::Waker,
 ) {
@@ -1233,16 +1185,34 @@ fn router_accept_loop(
         }
         // Reap finished connection handlers so the tracked vector stays
         // bounded by live connections under churn.
-        connections.lock().retain(|h| !h.is_finished());
+        shared.conns.lock().retain(|c| !c.handle.is_finished());
         loop {
             match listener.accept() {
                 Ok((stream, _peer)) => {
-                    let shared = Arc::clone(&shared);
-                    let handle = std::thread::Builder::new()
-                        .name("eugene-shard-conn".to_owned())
-                        .spawn(move || serve_client_connection(stream, shared))
-                        .expect("spawn shard connection thread");
-                    connections.lock().push(handle);
+                    // A socket or pipe the process cannot afford is a
+                    // connection dropped, not an accept failure.
+                    let (Ok(conn_waker), Ok(socket)) = (reactor::Waker::new(), stream.try_clone())
+                    else {
+                        continue;
+                    };
+                    *shared.live_conns.lock() += 1;
+                    let handle = {
+                        let shared = Arc::clone(&shared);
+                        let waker = conn_waker.clone();
+                        std::thread::Builder::new()
+                            .name("eugene-shard-conn".to_owned())
+                            .spawn(move || {
+                                serve_client_connection(stream, waker, &shared);
+                                *shared.live_conns.lock() -= 1;
+                                shared.conn_exited.notify_all();
+                            })
+                            .expect("spawn shard connection thread")
+                    };
+                    shared.conns.lock().push(ClientConn {
+                        handle,
+                        waker: conn_waker,
+                        socket,
+                    });
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -1283,7 +1253,7 @@ fn probe_loop(shared: Arc<RouterShared>) {
                 shared.mark_shard_down(i, generation);
             }
         }
-        std::thread::sleep(shared.config.probe_interval);
+        std::thread::sleep(PROBE_INTERVAL);
     }
 }
 
@@ -1346,7 +1316,6 @@ struct ConnState {
     shared: Arc<RouterShared>,
     client_writer: Arc<Mutex<TcpStream>>,
     table: Arc<TagTable>,
-    replay_tx: mpsc::Sender<u64>,
     /// Live upstream per shard; staleness (dead, old generation, or
     /// drain-notified) forces a fresh dial.
     upstreams: HashMap<usize, Upstream>,
@@ -1455,7 +1424,7 @@ impl ConnState {
             &mut *self.client_writer.lock(),
             &Frame::Reject {
                 client_tag: tag,
-                retry_after_ms: self.shared.config.lost_retry_ms,
+                retry_after_ms: LOST_RETRY_MS,
                 reason: RejectReason::ShardLost,
             },
         );
@@ -1499,7 +1468,6 @@ impl ConnState {
             generation,
             &self.client_writer,
             &self.table,
-            &self.replay_tx,
         ) {
             Ok(upstream) => {
                 self.upstreams.insert(shard, upstream);
@@ -1510,88 +1478,137 @@ impl ConnState {
     }
 }
 
-fn serve_client_connection(mut stream: TcpStream, shared: Arc<RouterShared>) {
-    let read_poll = shared.config.read_poll;
-    if stream.set_nodelay(true).is_err() || stream.set_read_timeout(Some(read_poll)).is_err() {
+const TOKEN_CLIENT: usize = 0;
+
+/// A reader that makes at most one `read`. After a readiness event that
+/// `read` cannot block, and every later call reports `WouldBlock`, so
+/// [`FrameBuffer::poll`] decodes what arrived instead of blocking
+/// mid-frame. `None` decodes only what is already buffered.
+struct OneRead<'a>(Option<&'a TcpStream>);
+
+impl Read for OneRead<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self.0.take() {
+            Some(mut stream) => stream.read(buf),
+            None => Err(io::ErrorKind::WouldBlock.into()),
+        }
+    }
+}
+
+/// One client connection's thread: it waits in its own poller on the
+/// client socket and the connection's waker, never on a timer.
+fn serve_client_connection(stream: TcpStream, waker: reactor::Waker, shared: &Arc<RouterShared>) {
+    let Ok(mut poller) = Poller::new() else {
+        return;
+    };
+    if stream.set_nodelay(true).is_err()
+        || poller
+            .register(stream.as_raw_fd(), TOKEN_CLIENT, Interest::READ)
+            .and_then(|()| poller.register(waker.read_fd(), TOKEN_WAKER, Interest::READ))
+            .is_err()
+    {
         return;
     }
+    let mut events = Vec::new();
     let mut buffer = FrameBuffer::new();
-    // Handshake: the router speaks for the whole tier.
+    // Handshake: the router speaks for the whole tier. Router stop wakes
+    // a client that never says Hello out of the wait.
     let version = loop {
-        if shared.stop.load(Ordering::Relaxed) {
+        if poller.wait(&mut events, None).is_err() || shared.stop.load(Ordering::Relaxed) {
             return;
         }
-        match buffer.poll(&mut stream) {
+        if !events.iter().any(|e| e.token == TOKEN_CLIENT) {
+            continue;
+        }
+        match buffer.poll(&mut OneRead(Some(&stream))) {
             Ok(Some(Frame::Hello { max_version })) => break max_version.min(PROTOCOL_VERSION),
             Ok(Some(_)) | Err(_) => return,
-            Ok(None) => continue,
+            Ok(None) => {}
         }
     };
-    if version == 0 || wire::write_frame(&mut stream, &Frame::HelloAck { version }).is_err() {
-        return;
-    }
     let client_writer = match stream.try_clone() {
         Ok(w) => Arc::new(Mutex::new(w)),
         Err(_) => return,
     };
+    if version == 0
+        || wire::write_frame(&mut *client_writer.lock(), &Frame::HelloAck { version }).is_err()
+    {
+        return;
+    }
     // Fallback affinity for submits without an explicit routing key: all
     // keyless requests of one connection stick to one shard.
     let conn_key = splitmix64(0xC0_22_EC_71 ^ shared.conn_counter.fetch_add(1, Ordering::Relaxed));
-    let (replay_tx, replay_rx) = mpsc::channel::<u64>();
     let mut conn = ConnState {
-        shared: Arc::clone(&shared),
+        shared: Arc::clone(shared),
         client_writer,
-        table: Arc::new(TagTable::default()),
-        replay_tx,
+        table: Arc::new(TagTable::new(waker.clone())),
         upstreams: HashMap::new(),
         retired: Vec::new(),
     };
 
-    loop {
-        if shared.stop.load(Ordering::Relaxed) {
+    // The first pass decodes whatever the client pipelined behind Hello.
+    let mut client_ready = false;
+    'serve: loop {
+        let mut source = OneRead(client_ready.then_some(&stream));
+        loop {
+            let frame = match buffer.poll(&mut source) {
+                Ok(Some(frame)) => frame,
+                Ok(None) => break,
+                Err(_) => break 'serve,
+            };
+            match frame {
+                Frame::Submit(submit) => {
+                    let key = submit.routing_key.unwrap_or(conn_key);
+                    let tag = submit.client_tag;
+                    conn.table.begin(key, submit);
+                    conn.route_entry(tag);
+                }
+                Frame::Ping { nonce }
+                    if wire::write_frame(
+                        &mut *conn.client_writer.lock(),
+                        &Frame::Pong { nonce },
+                    )
+                    .is_err() =>
+                {
+                    break 'serve;
+                }
+                Frame::Ping { .. } => {}
+                Frame::Shutdown => break 'serve,
+                // Hello replays and server->client kinds are ignored, same
+                // as a plain gateway.
+                _ => {}
+            }
+        }
+        if poller.wait(&mut events, None).is_err() {
             break;
         }
-        // Failover replays first: tags parked by a dead upstream's sweep
-        // re-route to their key's new owner (the warm standby).
-        while let Ok(tag) = replay_rx.try_recv() {
-            conn.route_entry(tag);
-        }
-        let frame = match buffer.poll(&mut stream) {
-            Ok(Some(frame)) => frame,
-            Ok(None) => continue,
-            Err(_) => break,
-        };
-        match frame {
-            Frame::Submit(submit) => {
-                let key = submit.routing_key.unwrap_or(conn_key);
-                let tag = submit.client_tag;
-                conn.table.begin(key, submit);
-                conn.route_entry(tag);
-            }
-            Frame::Ping { nonce }
-                if wire::write_frame(&mut *conn.client_writer.lock(), &Frame::Pong { nonce })
-                    .is_err() =>
-            {
+        if events.iter().any(|e| e.token == TOKEN_WAKER) {
+            waker.drain();
+            if shared.stop.load(Ordering::Relaxed) {
                 break;
             }
-            Frame::Ping { .. } => {}
-            Frame::Shutdown => break,
-            // Hello replays and server->client kinds are ignored, same as
-            // a plain gateway.
-            _ => {}
+            // Failover replays: tags parked by a dead upstream's sweep
+            // re-route to their key's new owner (the warm standby).
+            for tag in conn.table.parked() {
+                conn.route_entry(tag);
+            }
         }
+        client_ready = events.iter().any(|e| e.token == TOKEN_CLIENT);
     }
 
     // Drain: ask every upstream shard to finish its in-flight work,
     // keep servicing failover replays (a shard dying *mid-drain* still
     // fails its tags over to a survivor), and leave only when every tag
-    // has been answered. A drain-notified upstream stops reading new
-    // submits, so a mid-drain replay dials fresh (`notified` staleness
-    // in `ensure_upstream`). The failsafe deadline converts anything
-    // still unanswered into `ShardLost` so the client can never hang.
-    let failsafe = Instant::now() + Duration::from_secs(10);
+    // has been answered; the reader that claims the last one wakes this
+    // wait. A drain-notified upstream stops reading new submits, so a
+    // mid-drain replay dials fresh (`notified` staleness in
+    // `ensure_upstream`). The failsafe deadline converts anything still
+    // unanswered into `ShardLost` so the client can never hang.
+    let _ = poller.deregister(stream.as_raw_fd());
+    conn.table.draining.store(true, Ordering::Release);
+    let failsafe = Instant::now() + DRAIN_FAILSAFE;
     loop {
-        while let Ok(tag) = replay_rx.try_recv() {
+        for tag in conn.table.parked() {
             conn.route_entry(tag);
         }
         for upstream in conn.upstreams.values_mut() {
@@ -1603,23 +1620,22 @@ fn serve_client_connection(mut stream: TcpStream, shared: Arc<RouterShared>) {
         if conn.table.is_empty() {
             break;
         }
-        if Instant::now() >= failsafe {
+        let remaining = failsafe.saturating_duration_since(Instant::now());
+        if remaining.is_zero() || poller.wait(&mut events, Some(remaining)).is_err() {
             for tag in conn.table.take_all() {
                 shared.shard_lost.fetch_add(1, Ordering::Relaxed);
                 let _ = wire::write_frame(
                     &mut *conn.client_writer.lock(),
                     &Frame::Reject {
                         client_tag: tag,
-                        retry_after_ms: shared.config.lost_retry_ms,
+                        retry_after_ms: LOST_RETRY_MS,
                         reason: RejectReason::ShardLost,
                     },
                 );
             }
             break;
         }
-        if let Ok(tag) = replay_rx.recv_timeout(read_poll) {
-            conn.route_entry(tag);
-        }
+        waker.drain();
     }
     let retired = std::mem::take(&mut conn.retired);
     for upstream in retired
@@ -1636,15 +1652,13 @@ fn serve_client_connection(mut stream: TcpStream, shared: Arc<RouterShared>) {
 /// Dials shard `shard`'s gateway (at generation `generation`), completes
 /// the handshake, spawns the forwarding reader, and registers the
 /// upstream for severing on death.
-#[allow(clippy::too_many_arguments)]
 fn dial_upstream(
-    shared: &Arc<RouterShared>,
-    slot: &Arc<ShardSlot>,
+    shared: &RouterShared,
+    slot: &ShardSlot,
     shard: usize,
     generation: u64,
     client_writer: &Arc<Mutex<TcpStream>>,
     table: &Arc<TagTable>,
-    replay_tx: &mpsc::Sender<u64>,
 ) -> Result<Upstream, WireError> {
     if !slot.alive.load(Ordering::Acquire) {
         return Err(WireError::Io(io::Error::new(
@@ -1654,42 +1668,14 @@ fn dial_upstream(
     }
     let addr = *slot.addr.lock();
     let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(1))?;
-    stream.set_nodelay(true).ok();
-    stream
-        .set_read_timeout(Some(shared.config.read_poll))
-        .map_err(WireError::Io)?;
-    wire::write_frame(
-        &mut stream,
-        &Frame::Hello {
-            max_version: PROTOCOL_VERSION,
-        },
-    )?;
-    let mut buffer = FrameBuffer::new();
-    let deadline = Instant::now() + Duration::from_secs(2);
-    loop {
-        if Instant::now() >= deadline {
-            return Err(WireError::Io(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "shard handshake timed out",
-            )));
-        }
-        match buffer.poll(&mut stream)? {
-            Some(Frame::HelloAck { version }) if (1..=PROTOCOL_VERSION).contains(&version) => break,
-            Some(_) => return Err(WireError::Malformed("expected HelloAck from shard")),
-            None => continue,
-        }
-    }
+    shard_handshake(&mut stream, Instant::now() + Duration::from_secs(2))?;
     let upstream_shared = Arc::new(UpstreamShared {
         shard,
         generation,
         writer: Mutex::new(stream.try_clone().map_err(WireError::Io)?),
         client_writer: Arc::clone(client_writer),
         table: Arc::clone(table),
-        replay_tx: Mutex::new(replay_tx.clone()),
         dead: AtomicBool::new(false),
-        policy: shared.config.replica.failover,
-        lost_retry_ms: shared.config.lost_retry_ms,
-        shard_lost: Arc::clone(&shared.shard_lost),
         failovers: Arc::clone(&shared.failovers),
     });
     {

@@ -1,12 +1,12 @@
-//! Fault injection for the *replicated* front tier (the default
-//! `FailoverPolicy::Replay`): shard
-//! death must be invisible to clients — in-flight submits replay to the
-//! warm standby and complete with correct payloads, exactly once — and
-//! live elasticity (`add_shard` / `remove_shard` mid-load) must keep
-//! every request accounted with zero client-visible errors.
+//! Fault injection for the sharded front tier: keys spread over every
+//! shard exactly as the ring routes them, shard death is invisible to
+//! clients — in-flight submits replay to the warm standby and complete
+//! with correct payloads, exactly once — and live elasticity
+//! (`add_shard` / `remove_shard` mid-load) keeps every request accounted
+//! with zero client-visible errors.
 //!
-//! The legacy `FailoverPolicy::Reject` contract (shard death answers
-//! `ShardLost`) lives in `shard_faults.rs`.
+//! The router's tier-1 contract (kill mid-flight, no shard left, shutdown
+//! with a stalled or silent client) is the root `tests/router_contract.rs`.
 
 mod common;
 
@@ -14,7 +14,7 @@ use common::{shard_runtime, start_router};
 use eugene_net::shard::{ShardConfig, ShardRouter};
 use eugene_net::{ClientConfig, GatewayConfig, LoadgenConfig, MultiplexClient};
 use eugene_serve::RuntimeConfig;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const RAMP: [f32; 2] = [0.5, 0.95];
 
@@ -27,9 +27,6 @@ fn runtime_config() -> RuntimeConfig {
 
 fn shard_config() -> ShardConfig {
     ShardConfig {
-        // Replay is the ReplicaConfig default; the point of this suite is
-        // exercising it, so no override here — a changed default would
-        // fail these tests loudly.
         gateway: GatewayConfig {
             high_water: 1_000_000,
             hard_cap: 2_000_000,
@@ -84,79 +81,64 @@ fn loadgen_config(addr: String, total: usize, seed: u64) -> LoadgenConfig {
 }
 
 // ---------------------------------------------------------------------
-// Transparent failover: kill a shard with staged requests in flight; all
-// of them replay to the warm standby and complete. Zero ShardLost, zero
-// client-visible anything.
+// Distribution: distinct keys spread over every shard, and every request
+// is served by exactly the shard the ring names.
 // ---------------------------------------------------------------------
 
 #[test]
-fn kill_mid_flight_is_invisible_to_clients() {
+fn keys_spread_over_all_shards() {
     const SHARDS: usize = 3;
-    const IN_FLIGHT: usize = 8;
-    const VICTIM: usize = 1;
-    // Slow stages so the victim's requests are reliably still staged when
-    // the shard dies.
-    let router = start(SHARDS, Duration::from_millis(150));
+    const KEYS: u64 = 48;
+    let router = start(SHARDS, Duration::from_millis(1));
     let client = MultiplexClient::new(router.local_addr(), ClientConfig::default()).unwrap();
-
-    let victim_key = key_on_shard(&router, VICTIM);
-    let group = router.replicas_for_key(victim_key);
-    assert_eq!(group[0], VICTIM, "primary is the ring owner");
-    let standby = group[1];
-    assert_ne!(standby, VICTIM, "standby is a distinct shard");
-
-    let doomed: Vec<_> = (0..IN_FLIGHT)
-        .map(|i| {
+    let mut expected = vec![0u64; SHARDS];
+    let pending: Vec<_> = (0..KEYS)
+        .map(|key| {
+            expected[router.shard_for_key(key).unwrap()] += 1;
             client
                 .submit_keyed(
-                    "replayed",
-                    &[i as f32],
-                    Duration::from_secs(30),
+                    "mix",
+                    &[key as f32],
+                    Duration::from_secs(10),
                     false,
-                    Some(victim_key),
+                    Some(key),
                 )
-                .expect("submit onto victim")
+                .expect("submit")
         })
         .collect();
-
-    // Wait until the victim has admitted the load so the kill provably
-    // lands mid-flight, then kill it.
-    let victim_stats = &router.shard_stats()[VICTIM];
-    let admitted_by = Instant::now() + Duration::from_secs(10);
-    while (victim_stats.submitted() as usize) < IN_FLIGHT {
-        assert!(
-            Instant::now() < admitted_by,
-            "victim never admitted the load"
+    for (key, p) in pending.into_iter().enumerate() {
+        let outcome = p.wait().expect("keyed request completes");
+        assert_eq!(
+            outcome.predicted,
+            Some(key as u64),
+            "payload survived routing"
         );
-        std::thread::sleep(Duration::from_millis(2));
     }
-    assert!(router.kill_shard(VICTIM), "victim was alive");
-
-    // Every in-flight request completes with its payload intact — the
-    // kill cost latency (a re-execution on the standby), nothing else.
-    for (i, p) in doomed.into_iter().enumerate() {
-        let outcome = p
-            .wait()
-            .unwrap_or_else(|e| panic!("request {i} surfaced the kill as {e:?}"));
-        assert_eq!(outcome.predicted, Some(i as u64), "request {i} payload");
-    }
+    let per_shard: Vec<u64> = router.shard_stats().iter().map(|s| s.completed()).collect();
     assert_eq!(
-        router.shard_lost_rejects(),
-        0,
-        "transparent failover must not reject"
+        per_shard.iter().sum::<u64>(),
+        KEYS,
+        "every request served once"
     );
-    assert!(
-        router.failover_replays() >= IN_FLIGHT as u64,
-        "expected >= {IN_FLIGHT} replays, saw {}",
-        router.failover_replays()
+    assert_eq!(
+        per_shard, expected,
+        "requests landed exactly where the ring routes"
     );
-    // The replays landed on the warm standby the ring named up front.
-    assert_eq!(router.shard_for_key(victim_key), Some(standby));
-    assert!(
-        router.shard_stats()[standby].completed() >= IN_FLIGHT as u64,
-        "standby served the replayed load"
-    );
-    assert_eq!(client.stale_frames(), 0, "no double answers");
+    for (shard, &served) in per_shard.iter().enumerate() {
+        assert!(
+            served > 0,
+            "shard {shard} served nothing out of {KEYS} keys"
+        );
+    }
+    router.shutdown();
+}
+
+#[test]
+fn router_answers_pings_locally() {
+    let router = start(2, Duration::from_millis(1));
+    let client = MultiplexClient::new(router.local_addr(), ClientConfig::default()).unwrap();
+    let rtt = client.ping(Duration::from_secs(5)).expect("pong");
+    assert!(rtt < Duration::from_secs(5));
     router.shutdown();
 }
 
@@ -329,9 +311,9 @@ fn old_connections_reach_a_revived_shard_first_try() {
 }
 
 // ---------------------------------------------------------------------
-// Loadgen through a kill with NO client retries: under Replay the tier
-// itself absorbs the fault, so the report shows zero rejects, zero
-// errors, zero deadline misses — every request completed.
+// Loadgen through a kill with NO client retries: the tier itself
+// absorbs the fault, so the report shows zero rejects, zero errors, zero
+// deadline misses — every request completed.
 // ---------------------------------------------------------------------
 
 #[test]

@@ -31,31 +31,33 @@ cargo test --workspace -q --offline
 # `EUGENE_SIMD=0` passes run for real, because they run the suites on
 # the scalar tier, which the workspace run does not cover.
 #
-# Leak/multiplexing regressions: >=64 interleaved
-# in-flight tags on one connection, the event loop's connection lifecycle
-# (churn drains closed sockets, an idle crowd on one thread), the
-# event-driven latency bounds (no accept sleep, no forwarding tick), the
-# shard fault-injection suite (ShardLost on kill under the legacy Reject
-# policy, survivors keep serving), the replica fault suite (transparent
-# replay on kill, exactly-once answers across 100x kill/revive races,
-# revive ordering, generation-keyed upstreams, live add/remove under
-# load), the consistent-hash ring property suite (bounded remap, exact
-# restore, restart determinism, replica placement, double-routing
-# windows), the registry lifecycle suite (load/unload with requests in
-# flight), the per-tenant admission suite (hard caps, weighted fair
-# shedding), and the overload degradation suite (2x saturation in
-# Degrade mode: zero rejects after admission, every Final carries >=1
-# stage, utility beats the kill baseline). The gateway's own contract
-# (hard cap under a pipelined burst, drain on shutdown, read
-# backpressure) runs in the root crate's tier-1 `tests/gateway_contract.rs`,
-# the client's (stale frames counted and dropped, a lapsed deadline
-# abandons the request but keeps the connection, retry bounded by the
-# budget) in `tests/client_contract.rs`, and the runtime's deadline
-# contract in `tests/runtime_contract.rs`.
-echo "==> cargo test -p eugene-net --no-run --test multiplex --test readiness --test latency --test shard_faults --test replica_faults --test ring_properties --test registry_lifecycle --test tenants --test overload"
+# Leak/multiplexing regressions: >=64 interleaved in-flight tags on one
+# connection, the event loop's connection lifecycle (churn drains closed
+# sockets, an idle crowd on one thread), the event-driven latency bounds
+# (no accept sleep, no forwarding tick), the router fault suite (keys
+# land where the ring routes, pings answered locally, exactly-once
+# answers across 100x kill/revive races, revive ordering,
+# generation-keyed upstreams, zero-error loadgen through a kill, live
+# add/remove under load), the consistent-hash ring property suite
+# (bounded remap, exact restore, restart determinism, replica placement,
+# double-routing windows), the registry lifecycle suite (load/unload
+# with requests in flight), the per-tenant admission suite (hard caps,
+# weighted fair shedding), and the overload degradation suite (2x
+# saturation in Degrade mode: zero rejects after admission, every Final
+# carries >=1 stage, utility beats the kill baseline). The gateway's own
+# contract (hard cap under a pipelined burst, drain on shutdown, read
+# backpressure) runs in the root crate's tier-1
+# `tests/gateway_contract.rs`, the client's (stale frames counted and
+# dropped, a lapsed deadline abandons the request but keeps the
+# connection, retry bounded by the budget) in
+# `tests/client_contract.rs`, the shard router's (a kill mid-flight is
+# invisible, no shard left answers ShardLost, shutdown returns with a
+# stalled or silent client) in `tests/router_contract.rs`, and the
+# runtime's deadline contract in `tests/runtime_contract.rs`.
+echo "==> cargo test -p eugene-net --no-run --test multiplex --test readiness --test latency --test replica_faults --test ring_properties --test registry_lifecycle --test tenants --test overload"
 cargo test -p eugene-net -q --offline --no-run \
   --test multiplex --test readiness --test latency \
-  --test shard_faults --test replica_faults --test ring_properties --test registry_lifecycle \
+  --test replica_faults --test ring_properties --test registry_lifecycle \
   --test tenants --test overload
 
 # Kernel regressions: the blocked/parallel matmul paths must stay
