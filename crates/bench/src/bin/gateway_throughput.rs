@@ -29,11 +29,8 @@
 //!
 //! The replicated-resilience section drives the same tier through a
 //! shard kill AND a live scale-out with single-attempt clients — both
-//! must be invisible (zero
-//! rejects, zero errors, every request completed) — then runs a
-//! deliberately lumpy ring with the load-aware rebalancer on and
-//! requires the per-shard completion spread to narrow between the two
-//! halves of the run.
+//! must be invisible (zero rejects, zero errors, every request
+//! completed).
 //!
 //! Two multi-tenant / multi-model sections close the run. Tenant
 //! isolation: a compliant tenant and a rogue tenant offering 4x the
@@ -66,9 +63,8 @@
 use eugene_bench::{has_flag, print_table, write_json};
 use eugene_net::wire::{self, Frame, FrameBuffer, PROTOCOL_VERSION};
 use eugene_net::{
-    loadgen, ClassSpec, ClientConfig, Gateway, GatewayConfig, HashRing, LoadReport, LoadgenConfig,
-    MultiplexClient, RebalanceConfig, ShardConfig, ShardRouter, SubmitOptions, TenantQuota,
-    TenantSpec,
+    loadgen, ClassSpec, ClientConfig, Gateway, GatewayConfig, LoadReport, LoadgenConfig,
+    MultiplexClient, ShardConfig, ShardRouter, SubmitOptions, TenantQuota, TenantSpec,
 };
 use eugene_sched::Fifo;
 use eugene_serve::{
@@ -207,32 +203,20 @@ struct ShardPoint {
 }
 
 /// The replicated-resilience section: the front tier absorbing a shard
-/// kill AND a live scale-out with single-attempt clients (phase A), then
-/// the load-aware rebalancer narrowing a lumpy per-shard rps spread
-/// (phase B).
+/// kill AND a live scale-out with single-attempt clients.
 #[derive(Serialize)]
 struct ReplicatedResilience {
-    /// Phase A: loadgen driven through a mid-run `kill_shard` and a
-    /// mid-run `add_shard` with `max_attempts: 1` — every reject, error,
-    /// or deadline miss would be a client-visible fault, so all of them
+    /// Loadgen driven through a mid-run `kill_shard` and a mid-run
+    /// `add_shard` with `max_attempts: 1` — every reject, error, or
+    /// deadline miss would be a client-visible fault, so all of them
     /// gate at zero.
     elasticity: LoadReport,
     /// In-flight submits transparently replayed to the warm standby
     /// across the kill.
     failover_replays: u64,
-    /// Ring-epoch advances over phase A (the kill and the scale-out each
+    /// Ring-epoch advances over the run (the kill and the scale-out each
     /// bump it).
     epoch_advances: u64,
-    /// Phase B: per-shard completed counts for the same seeded workload
-    /// on the same lumpy ring, once with the rebalancer off (control)
-    /// and once with it on. The rebalanced spread (max/min) must come in
-    /// well under the static one.
-    rebalance_static: Vec<u64>,
-    rebalance_rebalanced: Vec<u64>,
-    spread_static: f64,
-    spread_rebalanced: f64,
-    /// Virtual-node moves the rebalancer applied during phase B.
-    rebalances: u64,
 }
 
 /// The tenant-isolation measurement: one gateway, two tenants, the rogue
@@ -323,8 +307,7 @@ struct GatewayThroughputDoc {
     /// multiplexed workload against a ShardRouter over N = 1..4 shards.
     sharded_scaling_curve: Vec<ShardPoint>,
     /// Replicated resilience: a shard kill plus a live scale-out under
-    /// single-attempt load (all faults absorbed by the tier), and the
-    /// load-aware rebalancer narrowing a lumpy per-shard rps spread.
+    /// single-attempt load (all faults absorbed by the tier).
     replicated_resilience: ReplicatedResilience,
     /// Overload degradation: Degrade-policy (anytime early exit, wide-open
     /// admission) vs Kill-policy (admission shedding + deadline kills) at
@@ -689,44 +672,10 @@ fn replicated_runtime() -> ServingRuntime {
     )
 }
 
-/// Loadgen config shared by both replicated phases: multiplexed, keyed,
-/// and `max_attempts: 1` so the *tier* must absorb every fault — a
-/// client-side retry would mask a failover bug as latency.
-fn replicated_load(
-    addr: String,
-    total: usize,
-    rate_hz: f64,
-    keyspace: u64,
-    seed: u64,
-) -> LoadgenConfig {
-    LoadgenConfig {
-        addr,
-        connections: 2,
-        total_requests: total,
-        rate_hz,
-        classes: vec![ClassSpec {
-            name: "replicated".to_owned(),
-            budget_ms: 10_000,
-            weight: 1.0,
-            payload_len: 16,
-        }],
-        seed,
-        client: ClientConfig {
-            max_attempts: 1,
-            ..ClientConfig::default()
-        },
-        concurrency: 32,
-        keyspace: Some(keyspace),
-        tenants: Vec::new(),
-        wait_grace: Duration::ZERO,
-    }
-}
-
-/// Phase A of the replicated section: drive the tier through a shard
-/// kill AND a live scale-out mid-run. Under the default Replay policy
-/// with single-attempt clients, both events must be invisible — every
-/// request completes, zero rejects, zero errors.
-fn replicated_fault_phase(quick: bool) -> (LoadReport, u64, u64) {
+/// The replicated section: drive the tier through a shard kill AND a
+/// live scale-out mid-run. With single-attempt clients, both events must
+/// be invisible — every request completes, zero rejects, zero errors.
+fn replicated_fault_phase(quick: bool) -> ReplicatedResilience {
     const SHARDS: usize = 3;
     let total = if quick { 800 } else { 3_000 };
     let runtimes = (0..SHARDS).map(|_| replicated_runtime()).collect();
@@ -747,7 +696,30 @@ fn replicated_fault_phase(quick: bool) -> (LoadReport, u64, u64) {
         "replicated: {total} requests through a shard kill + live \
          scale-out, max_attempts 1..."
     );
-    let config = replicated_load(router.local_addr().to_string(), total, 2_000.0, 4_096, 43);
+    // Multiplexed, keyed, and `max_attempts: 1` so the *tier* must
+    // absorb every fault — a client-side retry would mask a failover bug
+    // as latency.
+    let config = LoadgenConfig {
+        addr: router.local_addr().to_string(),
+        connections: 2,
+        total_requests: total,
+        rate_hz: 2_000.0,
+        classes: vec![ClassSpec {
+            name: "replicated".to_owned(),
+            budget_ms: 10_000,
+            weight: 1.0,
+            payload_len: 16,
+        }],
+        seed: 43,
+        client: ClientConfig {
+            max_attempts: 1,
+            ..ClientConfig::default()
+        },
+        concurrency: 32,
+        keyspace: Some(4_096),
+        tenants: Vec::new(),
+        wait_grace: Duration::ZERO,
+    };
     let run = std::thread::spawn(move || loadgen::run(&config));
     // Kill only once the victim provably has work in flight, so the
     // failover replay path is actually exercised (bounded wait: with an
@@ -776,154 +748,14 @@ fn replicated_fault_phase(quick: bool) -> (LoadReport, u64, u64) {
     assert_eq!(report.rejected_shard_lost, 0, "{report:?}");
     assert_eq!(report.errors, 0, "{report:?}");
     assert_eq!(report.deadline_exhausted, 0, "{report:?}");
-    let replays = router.failover_replays();
+    let failover_replays = router.failover_replays();
     let epoch_advances = router.ring_epoch() - epoch_start;
     assert!(epoch_advances >= 2, "kill + scale-out must bump the epoch");
     router.shutdown();
-    (report, replays, epoch_advances)
-}
-
-/// Phase B of the replicated section: a deliberately lumpy ring (few
-/// virtual nodes, seed picked so one shard owns >= 2x another's keys)
-/// under the same seeded uniform keyed load, run twice — once with the
-/// rebalancer off (the static control) and once with it on. The
-/// rebalanced run's per-shard completion spread must come in well under
-/// the control's: the rebalancer provably moved keyspace off the hot
-/// shard.
-fn replicated_rebalance_phase(quick: bool) -> (Vec<u64>, Vec<u64>, f64, f64, u64) {
-    const SHARDS: usize = 3;
-    const VNODES: usize = 4;
-    const KEYSPACE: u64 = 512;
-    let total = if quick { 2_400 } else { 9_600 };
-    // Deterministically pick the first ring seed whose assignment is
-    // lumpy enough (>= 2x spread) to trigger the rebalancer: this phase
-    // measures the correction, so it must start unbalanced.
-    let seed = (0u64..)
-        .find(|&s| {
-            let mut ring = HashRing::new(s, VNODES);
-            for shard in 0..SHARDS {
-                ring.insert(shard);
-            }
-            let mut counts = [0u64; SHARDS];
-            for key in 0..KEYSPACE {
-                counts[ring.route(key).expect("non-empty ring")] += 1;
-            }
-            let max = *counts.iter().max().expect("non-empty") as f64;
-            let min = (*counts.iter().min().expect("non-empty")).max(1) as f64;
-            max / min >= 2.0
-        })
-        .expect("some seed is lumpy");
-    println!(
-        "replicated-rebalance: 2 x {total} requests on a lumpy ring \
-         (seed {seed}), rebalancer off vs on..."
-    );
-    let spread = |deltas: &[u64]| -> f64 {
-        let max = *deltas.iter().max().expect("non-empty") as f64;
-        let min = (*deltas.iter().min().expect("non-empty")).max(1) as f64;
-        max / min
-    };
-    let run_once = |rebalance: Option<RebalanceConfig>| -> (Vec<u64>, u64) {
-        let runtimes = (0..SHARDS).map(|_| replicated_runtime()).collect();
-        let router = ShardRouter::start(
-            runtimes,
-            ShardConfig {
-                seed,
-                virtual_nodes: VNODES,
-                rebalance,
-                gateway: GatewayConfig {
-                    high_water: 1_000_000,
-                    hard_cap: 2_000_000,
-                    ..GatewayConfig::default()
-                },
-                ..ShardConfig::default()
-            },
-        )
-        .expect("bind loopback shard router");
-        let report = loadgen::run(&replicated_load(
-            router.local_addr().to_string(),
-            total,
-            1_200.0,
-            KEYSPACE,
-            47,
-        ));
-        assert_eq!(report.completed, report.requests, "{report:?}");
-        let counts: Vec<u64> = router.shard_stats().iter().map(|s| s.completed()).collect();
-        let rebalances = router.rebalances();
-        router.shutdown();
-        (counts, rebalances)
-    };
-    let (static_counts, none) = run_once(None);
-    assert_eq!(none, 0, "no rebalancer, no moves");
-    let (rebalanced_counts, rebalances) = run_once(Some(RebalanceConfig {
-        interval: Duration::from_millis(100),
-        min_samples: 50,
-        max_spread: 1.15,
-        step: 1,
-        min_vnodes: 1,
-    }));
-    let (spread_static, spread_rebalanced) = (spread(&static_counts), spread(&rebalanced_counts));
-
-    print_table(
-        "Replicated rebalance",
-        &[
-            "rebalancer",
-            "shard0",
-            "shard1",
-            "shard2",
-            "spread",
-            "moves",
-        ],
-        &[
-            vec![
-                "off".to_owned(),
-                static_counts[0].to_string(),
-                static_counts[1].to_string(),
-                static_counts[2].to_string(),
-                format!("{spread_static:.2}"),
-                "0".to_owned(),
-            ],
-            vec![
-                "on".to_owned(),
-                rebalanced_counts[0].to_string(),
-                rebalanced_counts[1].to_string(),
-                rebalanced_counts[2].to_string(),
-                format!("{spread_rebalanced:.2}"),
-                rebalances.to_string(),
-            ],
-        ],
-    );
-    assert!(
-        rebalances >= 1,
-        "a 2x-lumpy ring under load must trigger the rebalancer"
-    );
-    assert!(
-        spread_rebalanced < spread_static * 0.8,
-        "the rebalancer must narrow the per-shard rps spread well under \
-         the static ring's ({spread_static:.2} -> {spread_rebalanced:.2})"
-    );
-    (
-        static_counts,
-        rebalanced_counts,
-        spread_static,
-        spread_rebalanced,
-        rebalances,
-    )
-}
-
-/// Both replicated phases, assembled for the JSON document.
-fn replicated_section(quick: bool) -> ReplicatedResilience {
-    let (elasticity, failover_replays, epoch_advances) = replicated_fault_phase(quick);
-    let (rebalance_static, rebalance_rebalanced, spread_static, spread_rebalanced, rebalances) =
-        replicated_rebalance_phase(quick);
     ReplicatedResilience {
-        elasticity,
+        elasticity: report,
         failover_replays,
         epoch_advances,
-        rebalance_static,
-        rebalance_rebalanced,
-        spread_static,
-        spread_rebalanced,
-        rebalances,
     }
 }
 
@@ -1454,9 +1286,9 @@ fn main() {
     }
     if has_flag("--replicated") {
         // Replicated-resilience section only (CI runs this with --quick):
-        // asserts the zero-error kill + scale-out gate and the
-        // rebalancer's spread narrowing without refreshing the JSON.
-        replicated_section(quick);
+        // asserts the zero-error kill + scale-out gate without
+        // refreshing the JSON.
+        replicated_fault_phase(quick);
         return;
     }
     if has_flag("--overload") {
@@ -1588,7 +1420,7 @@ fn main() {
     assert_idle_curve(&idle_curve);
 
     let sharded_curve = sharded_sweep(quick);
-    let replicated = replicated_section(quick);
+    let replicated = replicated_fault_phase(quick);
     let overload_curve = overload_degradation_sweep(quick);
     let tenant_isolation = tenant_scenario(quick);
     let data_aware = data_aware_sweep(quick);

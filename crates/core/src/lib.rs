@@ -54,8 +54,7 @@ pub use facade::{
 // caps, address models, and set tenant quotas without depending on
 // eugene-net directly.
 pub use eugene_net::{
-    Gateway, GatewayConfig, RebalanceConfig, ReplicaConfig, ShardConfig, ShardRouter,
-    SubmitOptions, TenantQuota,
+    Gateway, GatewayConfig, ReplicaConfig, ShardConfig, ShardRouter, SubmitOptions, TenantQuota,
 };
 pub use eugene_serve::{
     ModelRegistry, OverloadPolicy, PlanCacheStats, Precision, RegistryError, VariantDispatcher,

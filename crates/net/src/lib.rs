@@ -38,9 +38,8 @@
 //!   runtime. Every keyspace range has a replica group (primary plus warm
 //!   standby); a killed shard's in-flight requests transparently replay
 //!   to the standby (a [`wire::RejectReason::ShardLost`] reject answers
-//!   only a request no shard can take), shards can be added and removed
-//!   live as ring edits, and an optional load-aware rebalancer narrows
-//!   per-shard rps spread — same wire protocol, so the client works
+//!   only a request no shard can take), and shards can be added and
+//!   removed live as ring edits — same wire protocol, so the client works
 //!   unchanged against it.
 //!
 //! Deadlines cross the wire as *remaining budgets* (milliseconds), not
@@ -67,6 +66,6 @@ pub use client::{
 };
 pub use loadgen::{ClassSpec, LoadReport, LoadgenConfig, TenantLoadReport, TenantSpec};
 pub use server::{Gateway, GatewayBackend, GatewayConfig, GatewayStatus};
-pub use shard::{HashRing, RebalanceConfig, ReplicaConfig, ShardConfig, ShardRouter};
+pub use shard::{HashRing, ReplicaConfig, ShardConfig, ShardRouter};
 pub use tenant::TenantQuota;
 pub use wire::{Frame, RejectReason, SubmitRequest, WireError, WireResponse, PROTOCOL_VERSION};

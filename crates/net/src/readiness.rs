@@ -21,8 +21,7 @@
 //! pipe whenever any model's runtime finishes a response or emits stage
 //! progress, so forwarding latency is event-driven end to end — no
 //! polling tick anywhere. The loop's wait times out only for a deadline
-//! it owns: a benched listener's retry, the optional rebalancer's next
-//! sample, or a shutdown drain.
+//! it owns: a benched listener's retry or a shutdown drain.
 //!
 //! A kill takes a slot off the ring and bumps its generation under the
 //! ring's write lock, then wakes the loop. Each route remembers the slot
@@ -47,7 +46,7 @@ use crate::server::{
     admit_submit, final_frame, is_transient_accept_error, GatewayConfig, GatewayStatus, Lease,
     ACCEPT_BACKOFF_BASE, ACCEPT_BACKOFF_CAP, ACCEPT_RETRY_LIMIT,
 };
-use crate::shard::{splitmix64, HashRing, Rebalancer};
+use crate::shard::{splitmix64, HashRing};
 use crate::tenant::TenantGovernor;
 use crate::wire::{
     self, Frame, FrameBuffer, RejectReason, SubmitRequest, WireError, PROTOCOL_VERSION,
@@ -157,14 +156,14 @@ pub(crate) struct Shared {
     pub(crate) edge: GatewayStatus,
     pub(crate) failovers: AtomicU64,
     pub(crate) shard_lost: AtomicU64,
-    pub(crate) rebalances: AtomicU64,
     stop: AtomicBool,
     waker: reactor::Waker,
 }
 
 impl Shared {
-    pub(crate) fn slot(&self, index: usize) -> Arc<Slot> {
-        Arc::clone(&self.membership.read().slots[index])
+    /// Slot `index`, or `None` if no slot was ever created there.
+    pub(crate) fn slot(&self, index: usize) -> Option<Arc<Slot>> {
+        self.membership.read().slots.get(index).cloned()
     }
 
     /// Points `slot`'s registry at the loop's wakeup pipe.
@@ -220,7 +219,6 @@ impl Engine {
         edge: GatewayStatus,
         ring: HashRing,
         slots: Vec<Slot>,
-        rebalancer: Option<Rebalancer>,
     ) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
@@ -242,7 +240,6 @@ impl Engine {
             edge,
             failovers: AtomicU64::new(0),
             shard_lost: AtomicU64::new(0),
-            rebalances: AtomicU64::new(0),
             stop: AtomicBool::new(false),
             waker: waker.clone(),
         });
@@ -265,7 +262,6 @@ impl Engine {
             waker,
             swept_epoch: shared.epoch.load(Ordering::Acquire),
             shared: Arc::clone(&shared),
-            rebalancer,
             conns: HashMap::new(),
             routes: HashMap::new(),
             respond_tx,
@@ -414,7 +410,6 @@ struct Reactor {
     shared: Arc<Shared>,
     /// The ring epoch stale routes were last replayed at.
     swept_epoch: u64,
-    rebalancer: Option<Rebalancer>,
     conns: HashMap<usize, Conn>,
     routes: HashMap<RequestId, Route>,
     respond_tx: Sender<InferenceResponse>,
@@ -464,16 +459,10 @@ impl Reactor {
                     token => self.handle_conn_event(token, event, &mut dirty),
                 }
             }
-            let now = Instant::now();
             // A benched listener re-arms by deadline, not by event.
-            if self.accept_retry_at.is_some_and(|at| now >= at) {
+            if self.accept_retry_at.is_some_and(|at| Instant::now() >= at) {
                 self.accept_retry_at = None;
                 self.accept_burst(&mut dirty);
-            }
-            if let Some(rebalancer) = &mut self.rebalancer {
-                if !self.stopping && now >= rebalancer.due() {
-                    rebalancer.tick(&self.shared);
-                }
             }
 
             self.replay_stale(&mut dirty);
@@ -483,17 +472,13 @@ impl Reactor {
     }
 
     /// The poller wait deadline: indefinite when fully event-driven,
-    /// bounded only while a shutdown drain, an accept backoff or the
-    /// rebalancer's next sample is pending.
+    /// bounded only while a shutdown drain or an accept backoff is
+    /// pending.
     fn wait_timeout(&self) -> Option<Duration> {
         if self.stopping {
             return Some(Duration::from_millis(50));
         }
-        let rebalance_at = self.rebalancer.as_ref().map(Rebalancer::due);
-        let at = [self.accept_retry_at, rebalance_at]
-            .into_iter()
-            .flatten()
-            .min()?;
+        let at = self.accept_retry_at?;
         Some(
             at.saturating_duration_since(Instant::now())
                 .max(Duration::from_millis(1)),

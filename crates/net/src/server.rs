@@ -395,8 +395,13 @@ impl Gateway {
         let mut ring = HashRing::new(0, 1);
         ring.insert(0);
         let addr = config.addr.clone();
-        let engine = Engine::start(&addr, config, status, ring, vec![slot], None)?;
+        let engine = Engine::start(&addr, config, status, ring, vec![slot])?;
         Ok(Self { engine })
+    }
+
+    /// The gateway's one slot.
+    fn slot(&self) -> Arc<Slot> {
+        self.engine.shared.slot(0).expect("a gateway has one slot")
     }
 
     /// The bound address (with the concrete port when `addr` asked for 0).
@@ -408,19 +413,19 @@ impl Gateway {
     /// deployment for a single-model gateway; see [`Gateway::snapshot`]
     /// for the multi-model aggregate).
     pub fn stats(&self) -> RuntimeStats {
-        self.engine.shared.slot(0).stats.lock().clone()
+        self.slot().stats.lock().clone()
     }
 
     /// The model registry this gateway serves; use it to load/unload
     /// models while the gateway is running.
     pub fn registry(&self) -> ModelRegistry {
-        self.engine.shared.slot(0).registry.clone()
+        self.slot().registry.clone()
     }
 
     /// Aggregate deployment snapshot: per-model rows from the registry
     /// plus per-tenant admission rows from the gateway's governor.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let slot = self.engine.shared.slot(0);
+        let slot = self.slot();
         let mut snapshot = slot.registry.snapshot();
         for (name, row) in slot.governor.snapshot() {
             snapshot.per_tenant.entry(name).or_default().absorb(&row);

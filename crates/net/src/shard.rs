@@ -37,8 +37,7 @@
 //!
 //! A router is one event loop plus its runtimes' threads. The loop parks
 //! in its poller and wakes for a socket, a runtime's completion, a ring
-//! edit, or a deadline it owns (the rebalancer's next sample); nothing
-//! polls on a timer.
+//! edit, or a benched listener's retry; nothing polls on a timer.
 //!
 //! # Live elasticity
 //!
@@ -52,21 +51,14 @@
 //! nodes at the exact same points, restoring the prior assignment.
 //! Every ring edit bumps a monotonically increasing *epoch*
 //! ([`ShardRouter::ring_epoch`]).
-//!
-//! An optional load-aware rebalancer ([`RebalanceConfig`]) samples
-//! per-shard completion rates and moves virtual nodes from the hottest
-//! shard to the coldest when the spread exceeds a threshold, narrowing
-//! per-shard rps spread under skewed keyspaces.
 
 use crate::readiness::{Engine, Shared, Slot};
 use crate::server::{GatewayConfig, GatewayStatus};
 use eugene_serve::{ModelRegistry, RuntimeStats, ServingRuntime, StatsSnapshot};
-use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// SplitMix64 finalizer: a cheap, well-distributed 64-bit mixer used for
 /// both ring points and key hashes (deterministic across runs and
@@ -78,16 +70,14 @@ pub(crate) fn splitmix64(seed: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Consistent-hash ring with virtual nodes and per-shard weights.
+/// Consistent-hash ring with virtual nodes.
 ///
-/// Each member shard owns a number of points on a `u64` ring (its
-/// *weight*, defaulting to `virtual_nodes`); a key routes to the owner of
-/// the first point at or after its hash (wrapping). Point positions
-/// depend only on `(seed, shard, vnode)` — never on insertion order — so
-/// membership changes are *minimal*: removing a shard moves only the keys
-/// it owned, and re-inserting it restores the exact prior assignment.
-/// Weights persist across remove/insert for the same reason: a revived
-/// shard comes back at exactly the points the rebalancer left it with.
+/// Each member shard owns `virtual_nodes` points on a `u64` ring; a key
+/// routes to the owner of the first point at or after its hash
+/// (wrapping). Point positions depend only on `(seed, shard, vnode)` —
+/// never on insertion order — so membership changes are *minimal*:
+/// removing a shard moves only the keys it owned, and re-inserting it
+/// restores the exact prior assignment.
 #[derive(Debug, Clone)]
 pub struct HashRing {
     seed: u64,
@@ -96,9 +86,6 @@ pub struct HashRing {
     /// the order is fully deterministic.
     points: Vec<(u64, usize)>,
     members: Vec<usize>,
-    /// Per-shard virtual-node counts, kept across `remove` so a
-    /// re-`insert` restores the shard's exact prior footprint.
-    weights: HashMap<usize, usize>,
 }
 
 impl HashRing {
@@ -109,7 +96,6 @@ impl HashRing {
             virtual_nodes: virtual_nodes.max(1),
             points: Vec::new(),
             members: Vec::new(),
-            weights: HashMap::new(),
         }
     }
 
@@ -130,15 +116,14 @@ impl HashRing {
         }
         self.members.push(shard);
         self.members.sort_unstable();
-        for vnode in 0..self.vnodes_of(shard) {
+        for vnode in 0..self.virtual_nodes {
             self.points.push((self.point_hash(shard, vnode), shard));
         }
         self.points.sort_unstable();
     }
 
-    /// Removes `shard`'s virtual nodes; no-op if not a member. The
-    /// shard's weight is retained, so a later `insert` restores its
-    /// exact prior points.
+    /// Removes `shard`'s virtual nodes; no-op if not a member. A later
+    /// `insert` restores its exact prior points.
     pub fn remove(&mut self, shard: usize) {
         self.members.retain(|&s| s != shard);
         self.points.retain(|&(_, s)| s != shard);
@@ -161,31 +146,6 @@ impl HashRing {
 
     pub fn is_empty(&self) -> bool {
         self.members.is_empty()
-    }
-
-    /// The number of virtual nodes `shard` owns (or would own on
-    /// insert): its explicit weight, or the ring default.
-    pub fn vnodes_of(&self, shard: usize) -> usize {
-        self.weights
-            .get(&shard)
-            .copied()
-            .unwrap_or(self.virtual_nodes)
-    }
-
-    /// Sets `shard`'s virtual-node count (clamped to at least 1),
-    /// rebuilding its points if it is a member. Only the re-weighted
-    /// shard's keyspace share changes; points of other shards stay
-    /// exactly where they were.
-    pub fn set_vnodes(&mut self, shard: usize, count: usize) {
-        let count = count.max(1);
-        self.weights.insert(shard, count);
-        if self.members.contains(&shard) {
-            self.points.retain(|&(_, s)| s != shard);
-            for vnode in 0..count {
-                self.points.push((self.point_hash(shard, vnode), shard));
-            }
-            self.points.sort_unstable();
-        }
     }
 
     /// The shard owning `key`, or `None` on an empty ring.
@@ -241,38 +201,6 @@ impl Default for ReplicaConfig {
     }
 }
 
-/// Load-aware virtual-node rebalancing policy; `None` in
-/// [`ShardConfig::rebalance`] disables it entirely.
-#[derive(Debug, Clone)]
-pub struct RebalanceConfig {
-    /// Sampling interval: each tick diffs per-shard completion counters
-    /// against the previous tick.
-    pub interval: Duration,
-    /// Minimum completions across all shards in one interval before the
-    /// sample is trusted (idle tiers never rebalance).
-    pub min_samples: u64,
-    /// Trigger threshold: rebalance when the hottest shard's completion
-    /// delta exceeds `max_spread` times the coldest's.
-    pub max_spread: f64,
-    /// Virtual nodes moved from hottest to coldest per rebalance.
-    pub step: usize,
-    /// Floor on any shard's virtual-node count: a hot shard is never
-    /// drained below this, so every shard always owns keyspace.
-    pub min_vnodes: usize,
-}
-
-impl Default for RebalanceConfig {
-    fn default() -> Self {
-        Self {
-            interval: Duration::from_millis(200),
-            min_samples: 64,
-            max_spread: 1.5,
-            step: 8,
-            min_vnodes: 8,
-        }
-    }
-}
-
 /// Policy for a [`ShardRouter`].
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
@@ -286,9 +214,6 @@ pub struct ShardConfig {
     pub seed: u64,
     /// Replication policy.
     pub replica: ReplicaConfig,
-    /// Load-aware virtual-node rebalancing; `None` (the default) keeps
-    /// the ring assignment static.
-    pub rebalance: Option<RebalanceConfig>,
     /// Admission policy of every shard, each reserving on its own gauges;
     /// its `addr` is unused (the router binds [`ShardConfig::addr`]).
     pub gateway: GatewayConfig,
@@ -301,7 +226,6 @@ impl Default for ShardConfig {
             virtual_nodes: 64,
             seed: 0,
             replica: ReplicaConfig::default(),
-            rebalance: None,
             gateway: GatewayConfig::default(),
         }
     }
@@ -342,7 +266,6 @@ impl ShardRouter {
             GatewayStatus::default(),
             ring,
             slots,
-            config.rebalance.map(Rebalancer::new),
         )?;
         Ok(Self {
             engine,
@@ -384,14 +307,7 @@ impl ShardRouter {
             .route_replicas(key, self.replicas)
     }
 
-    /// A point-in-time copy of the routing ring (tests and benches
-    /// inspect placement and virtual-node weights through this).
-    pub fn ring_snapshot(&self) -> HashRing {
-        self.shared().membership.read().ring.clone()
-    }
-
-    /// Monotonic ring epoch: bumped on every membership or weight
-    /// change.
+    /// Monotonic ring epoch: bumped on every membership change.
     pub fn ring_epoch(&self) -> u64 {
         self.shared().epoch.load(Ordering::Relaxed)
     }
@@ -408,9 +324,10 @@ impl ShardRouter {
     }
 
     /// Admission gauges of shard `index`: its reservations and the
-    /// answers it produced.
+    /// answers it produced. Panics if `index` was never a shard.
     pub fn shard_status(&self, index: usize) -> GatewayStatus {
-        self.shared().slot(index).status.clone()
+        let slot = self.shared().slot(index).expect("no shard at this index");
+        slot.status.clone()
     }
 
     /// The router's own network-edge gauges: its one event loop, its
@@ -445,18 +362,15 @@ impl ShardRouter {
         self.shared().failovers.load(Ordering::Relaxed)
     }
 
-    /// Virtual-node moves the load-aware rebalancer has applied so far.
-    pub fn rebalances(&self) -> u64 {
-        self.shared().rebalances.load(Ordering::Relaxed)
-    }
-
     /// Kills shard `index` as a fault injection: the ring drops it and
     /// its generation moves on, so its in-flight requests replay to each
     /// key's new owner (the warm standby); then its runtime is drained,
     /// and whatever it still answers is dropped. Returns `false` if it
-    /// was already down.
+    /// was already down or was never a shard.
     pub fn kill_shard(&self, index: usize) -> bool {
-        let slot = self.shared().slot(index);
+        let Some(slot) = self.shared().slot(index) else {
+            return false;
+        };
         let killed = self
             .shared()
             .edit(|membership| {
@@ -475,9 +389,12 @@ impl ShardRouter {
     /// Brings killed shard `index` back with a fresh runtime, loaded into
     /// the shard's registry before its virtual nodes return to the ring
     /// at the exact same points — so the assignment reverts to what it
-    /// was before the kill. Never fails in process.
+    /// was before the kill. Fails with `InvalidInput` if `index` was
+    /// never a shard.
     pub fn revive_shard(&self, index: usize, runtime: ServingRuntime) -> io::Result<()> {
-        let slot = self.shared().slot(index);
+        let slot = self.shared().slot(index).ok_or_else(|| {
+            io::Error::new(io::ErrorKind::InvalidInput, format!("no shard {index}"))
+        })?;
         assert!(
             !slot.alive.load(Ordering::Acquire),
             "revive_shard on a live shard"
@@ -513,9 +430,12 @@ impl ShardRouter {
     /// runtime, which answers every request it admitted; returns once
     /// the drain is done. A submit that raced the drain reroutes to the
     /// key's new owner, so nothing is lost. Refuses (returns `false`) for
-    /// the last ring member or a shard already down.
+    /// the last ring member, a shard already down, or an index that was
+    /// never a shard.
     pub fn remove_shard(&self, index: usize) -> bool {
-        let slot = self.shared().slot(index);
+        let Some(slot) = self.shared().slot(index) else {
+            return false;
+        };
         let removed = self
             .shared()
             .edit(|membership| {
@@ -536,78 +456,6 @@ impl ShardRouter {
     pub fn shutdown(self) {
         // Dropping the engine is the shutdown.
         drop(self);
-    }
-}
-
-/// The load-aware rebalancer, run by the event loop as a deadline in its
-/// wait timeout: each sample diffs per-shard completion counters; when
-/// the hottest shard's delta exceeds `max_spread`× the coldest's (and
-/// the sample is large enough to trust), it moves `step` virtual nodes
-/// from hot to cold. Weights persist on the ring, so a revive keeps the
-/// rebalanced assignment.
-pub(crate) struct Rebalancer {
-    policy: RebalanceConfig,
-    due: Instant,
-    last: HashMap<usize, u64>,
-}
-
-impl Rebalancer {
-    fn new(policy: RebalanceConfig) -> Self {
-        Self {
-            due: Instant::now() + policy.interval,
-            policy,
-            last: HashMap::new(),
-        }
-    }
-
-    /// When the next sample is due.
-    pub(crate) fn due(&self) -> Instant {
-        self.due
-    }
-
-    /// Takes one sample and moves virtual nodes if the spread calls for
-    /// it.
-    pub(crate) fn tick(&mut self, shared: &Shared) {
-        self.due = Instant::now() + self.policy.interval;
-        let deltas: Vec<(usize, u64)> = {
-            let membership = shared.membership.read();
-            membership
-                .ring
-                .shards()
-                .iter()
-                .map(|&shard| {
-                    let completed = membership.slots[shard].stats.lock().completed();
-                    let prev = self.last.insert(shard, completed).unwrap_or(completed);
-                    (shard, completed.saturating_sub(prev))
-                })
-                .collect()
-        };
-        let total: u64 = deltas.iter().map(|&(_, d)| d).sum();
-        if deltas.len() < 2 || total < self.policy.min_samples {
-            return;
-        }
-        let &(hot, hot_delta) = deltas.iter().max_by_key(|&&(_, d)| d).expect(">=2 members");
-        let &(cold, cold_delta) = deltas.iter().min_by_key(|&&(_, d)| d).expect(">=2 members");
-        if hot == cold || (hot_delta as f64) <= self.policy.max_spread * (cold_delta.max(1) as f64)
-        {
-            return;
-        }
-        let policy = &self.policy;
-        let moved = shared.edit(|membership| {
-            let ring = &mut membership.ring;
-            let hot_vnodes = ring.vnodes_of(hot);
-            if hot_vnodes <= policy.min_vnodes {
-                return None;
-            }
-            let step = policy.step.min(hot_vnodes - policy.min_vnodes).max(1);
-            ring.set_vnodes(hot, hot_vnodes - step);
-            let cold_vnodes = ring.vnodes_of(cold);
-            ring.set_vnodes(cold, cold_vnodes + step);
-            Some(())
-        });
-        if moved.is_some() {
-            shared.rebalances.fetch_add(1, Ordering::Relaxed);
-        }
     }
 }
 
@@ -713,32 +561,5 @@ mod tests {
                 "removal successor must be the standby for key {key}"
             );
         }
-    }
-
-    #[test]
-    fn set_vnodes_shifts_share_and_persists_across_remove() {
-        let mut ring = HashRing::new(13, 64);
-        for shard in 0..3 {
-            ring.insert(shard);
-        }
-        let owned_before = (0..4096u64).filter(|&k| ring.route(k) == Some(0)).count();
-        ring.set_vnodes(0, 16);
-        let owned_after = (0..4096u64).filter(|&k| ring.route(k) == Some(0)).count();
-        assert!(
-            owned_after < owned_before,
-            "fewer vnodes must shrink shard 0's share ({owned_before} -> {owned_after})"
-        );
-        // Keys not owned by shard 0 before or after must not have moved
-        // between the *other* shards: only the re-weighted shard's
-        // ranges are in play.
-        let snapshot: Vec<Option<usize>> = (0..4096u64).map(|k| ring.route(k)).collect();
-        ring.remove(0);
-        ring.insert(0);
-        let restored: Vec<Option<usize>> = (0..4096u64).map(|k| ring.route(k)).collect();
-        assert_eq!(
-            snapshot, restored,
-            "weight must persist across remove/insert"
-        );
-        assert_eq!(ring.vnodes_of(0), 16);
     }
 }

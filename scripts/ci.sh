@@ -21,6 +21,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --exclude c
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release --offline
 
+# The repository's benchmark (benchmark/) is a package of its own outside
+# the workspace that compiles against the crates' public API. Building
+# and unit-testing it right after the workspace build makes a signature
+# it depends on fail here, in minutes, not after the whole suite; its
+# smoke runs at the end.
+echo "==> cargo test --manifest-path benchmark/Cargo.toml"
+cargo test --manifest-path benchmark/Cargo.toml --offline
+
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q --offline
 
@@ -37,9 +45,7 @@ cargo test --workspace -q --offline
 # (no accept sleep, no forwarding tick), the router fault suite (keys
 # land where the ring routes, pings answered locally, revive ordering,
 # old connections reach a revived shard, zero-error loadgen through a
-# kill, live add/remove under load), the consistent-hash ring property suite
-# (bounded remap, exact restore, restart determinism, replica placement,
-# scale-out successors), the registry lifecycle suite (load/unload
+# kill, live add/remove under load), the registry lifecycle suite (load/unload
 # with requests in flight), the per-tenant admission suite (hard caps,
 # weighted fair shedding), and the overload degradation suite (2x
 # saturation in Degrade mode: zero rejects after admission, every Final
@@ -53,17 +59,20 @@ cargo test --workspace -q --offline
 # `tests/client_contract.rs`, the shard router's (a kill mid-flight is
 # invisible, exactly-once answers across 100x kill/revive races, no
 # shard left answers ShardLost, shutdown returns with a stalled or
-# silent client, a router grown from one shard fails over) in
-# `tests/router_contract.rs`, the router's thread budget (one event
-# loop, counted in a process of its own) in `tests/router_threads.rs`,
-# and the runtime's deadline contract in `tests/runtime_contract.rs`.
-echo "==> cargo test -p eugene-net --no-run --test multiplex --test readiness --test latency --test replica_faults --test ring_properties --test registry_lifecycle --test tenants --test overload"
+# silent client, a router grown from one shard fails over, an unknown
+# shard index refused) in `tests/router_contract.rs`, the router's
+# thread budget (one event loop, counted in a process of its own) in
+# `tests/router_threads.rs`, the consistent-hash ring property suite
+# (bounded remap, exact restore, restart determinism, replica
+# placement, scale-out successors) in `tests/ring_properties.rs`, and
+# the runtime's deadline contract in `tests/runtime_contract.rs`.
+echo "==> cargo test -p eugene-net --no-run --test multiplex --test readiness --test latency --test replica_faults --test registry_lifecycle --test tenants --test overload"
 cargo test -p eugene-net -q --offline --no-run \
   --test multiplex --test readiness --test latency \
-  --test replica_faults --test ring_properties --test registry_lifecycle \
+  --test replica_faults --test registry_lifecycle \
   --test tenants --test overload
-echo "==> cargo test -p eugene --no-run --test gateway_contract --test router_contract --test router_threads"
-cargo test -p eugene -q --offline --no-run --test gateway_contract --test router_contract --test router_threads
+echo "==> cargo test -p eugene --no-run --test gateway_contract --test router_contract --test router_threads --test ring_properties"
+cargo test -p eugene -q --offline --no-run --test gateway_contract --test router_contract --test router_threads --test ring_properties
 
 # Kernel regressions: the blocked/parallel matmul paths must stay
 # bitwise-equal to the naive references at every parallelism setting
@@ -140,9 +149,7 @@ echo "==> gateway_throughput --quick --sharded"
 cargo run --release --offline -p eugene-bench --bin gateway_throughput -- --quick --sharded
 
 # Replicated-resilience smoke: a shard kill plus a live scale-out under
-# single-attempt load must be invisible (zero rejects/errors), and the
-# load-aware rebalancer must narrow a lumpy ring's per-shard rps spread
-# well under the static control's.
+# single-attempt load must be invisible (zero rejects/errors).
 echo "==> gateway_throughput --quick --replicated"
 cargo run --release --offline -p eugene-bench --bin gateway_throughput -- --quick --replicated
 
@@ -159,12 +166,8 @@ cargo run --release --offline -p eugene-bench --bin gateway_throughput -- --quic
 echo "==> gateway_throughput --quick --tenants"
 cargo run --release --offline -p eugene-bench --bin gateway_throughput -- --quick --tenants
 
-# The repository's benchmark (benchmark/, a package of its own outside
-# the workspace): its unit tests and a < 60 s smoke over all four
-# workloads, both passes, with every answer checked bit for bit — so it
-# cannot rot against the crates' public API.
-echo "==> cargo test --manifest-path benchmark/Cargo.toml"
-cargo test --manifest-path benchmark/Cargo.toml --offline
+# The benchmark's smoke: < 60 s over all four workloads, both passes,
+# with every answer checked bit for bit.
 echo "==> benchmark/run.sh --smoke"
 bash benchmark/run.sh --smoke
 

@@ -2,8 +2,9 @@
 //! invisible to clients and answered exactly once however the kill races
 //! the answer, a tier with no shard left answers `ShardLost` instead of
 //! hanging, a router grown from one shard fails over like one started
-//! wide, and router shutdown returns even when a client stopped reading
-//! or never said Hello. The router's thread budget is checked in
+//! wide, a shard index that was never a shard is refused without harm,
+//! and router shutdown returns even when a client stopped reading or
+//! never said Hello. The router's thread budget is checked in
 //! `tests/router_threads.rs`, a process of its own.
 
 #[path = "../crates/net/tests/common/mod.rs"]
@@ -214,6 +215,33 @@ fn kill_mid_flight_is_invisible_to_clients() {
         .expect("revived shard serves again");
     assert_eq!(outcome.predicted, Some(5));
     assert_eq!(router.shard_stats()[VICTIM].completed(), before + 1);
+    router.shutdown();
+}
+
+/// Fault injection at an index that was never a shard is refused — kill
+/// and remove answer `false`, revive `InvalidInput` — and the router
+/// keeps serving.
+#[test]
+fn an_unknown_shard_index_is_refused_and_the_router_keeps_serving() {
+    let router = start(2, Duration::from_millis(1));
+    let unknown = router.num_shards();
+    assert!(!router.kill_shard(unknown), "no shard to kill");
+    assert!(!router.remove_shard(unknown), "no shard to remove");
+    let err = router
+        .revive_shard(
+            unknown,
+            shard_runtime(RAMP.to_vec(), Duration::from_millis(1), &runtime_config()),
+        )
+        .expect_err("no shard to revive");
+    assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    assert_eq!(router.alive_shards(), 2);
+
+    let client = MultiplexClient::new(router.local_addr(), ClientConfig::default()).unwrap();
+    let key = key_on_shard(&router, 1);
+    let outcome = client
+        .infer_keyed("known", &[3.0], Duration::from_secs(10), Some(key))
+        .expect("the router still serves");
+    assert_eq!(outcome.predicted, Some(3));
     router.shutdown();
 }
 
