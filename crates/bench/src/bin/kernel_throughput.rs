@@ -27,7 +27,7 @@
 //! row. It also checks inline that the vector kernels still equal their
 //! portable twins bit for bit.
 
-use eugene_bench::{has_flag, host_cores, host_isa, print_table, write_json, HostIsa};
+use eugene_bench::{check_flags, has_flag, host_cores, host_isa, print_table, write_json, HostIsa};
 use eugene_nn::{Layer, StagedNetwork, StagedNetworkConfig};
 use eugene_tensor::{
     seeded_rng, set_parallelism, set_simd_mode, standard_normal, AlignedVec, Matrix, PackedRhs,
@@ -661,6 +661,7 @@ fn report_roofline(roofline: &Roofline) {
 }
 
 fn main() {
+    check_flags(&["--quick", "--roofline", "--fused"]);
     let quick = has_flag("--quick");
     if has_flag("--roofline") {
         // Report only (plus the inline parity check): no JSON rewrite.

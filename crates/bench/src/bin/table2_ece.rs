@@ -15,7 +15,7 @@
 //!
 //! Run: `cargo run --release -p eugene-bench --bin table2_ece [--sweep]`
 
-use eugene_bench::{has_flag, print_table, write_json, Workload, WorkloadConfig};
+use eugene_bench::{check_flags, has_flag, print_table, write_json, Workload, WorkloadConfig};
 use eugene_calibrate::{ece, EntropyCalibrator, EntropyCalibratorConfig, McDropout};
 use eugene_nn::{evaluate_staged, TrainConfig, Trainer};
 use eugene_tensor::seeded_rng;
@@ -31,6 +31,7 @@ struct Table2 {
 }
 
 fn main() {
+    check_flags(&["--sweep"]);
     println!("training the three-stage workload (overfit on purpose)...");
     let workload = Workload::standard(WorkloadConfig::default());
 

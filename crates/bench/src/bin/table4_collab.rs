@@ -18,7 +18,7 @@
 //!
 //! Run: `cargo run --release -p eugene-bench --bin table4_collab [--resilience]`
 
-use eugene_bench::{has_flag, print_table, write_json};
+use eugene_bench::{check_flags, has_flag, print_table, write_json};
 use eugene_collab::{
     run_collaborative, run_individual, run_with_rogue, Camera, DetectorModel, PipelineConfig,
     PipelineReport, RogueConfig, World, WorldConfig,
@@ -50,6 +50,7 @@ fn averaged(run: impl Fn(u64) -> PipelineReport) -> (f64, f64, f64) {
 }
 
 fn main() {
+    check_flags(&["--resilience"]);
     let model = DetectorModel::movidius_class();
     let config = PipelineConfig::default();
     let cameras = Camera::ring(8, WorldConfig::default().arena_side);

@@ -202,6 +202,25 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
     println!("  [saved {}]", path.display());
 }
 
+/// Checks the command line against the flags a binary accepts; call it
+/// first in `main`. An unknown argument exits with status 2 before any
+/// work runs, so a stale flag cannot fall through to the full run and
+/// rewrite its `results/` file.
+pub fn check_flags(accepted: &[&str]) {
+    if let Some(unknown) = unknown_arg(std::env::args().skip(1), accepted) {
+        eprintln!(
+            "unknown argument `{unknown}`; accepted: {}",
+            accepted.join(" ")
+        );
+        std::process::exit(2);
+    }
+}
+
+/// The first argument not in `accepted`, if any.
+fn unknown_arg(mut args: impl Iterator<Item = String>, accepted: &[&str]) -> Option<String> {
+    args.find(|a| !accepted.contains(&a.as_str()))
+}
+
 /// Parses a `--flag` style argument from the command line.
 pub fn has_flag(flag: &str) -> bool {
     std::env::args().any(|a| a == flag)
@@ -225,6 +244,27 @@ mod tests {
         // Overfit network: mean confidence exceeds accuracy on test data.
         let gap = evals[2].mean_confidence() as f64 - evals[2].accuracy;
         assert!(gap > 0.0, "expected overconfidence, gap {gap}");
+    }
+
+    #[test]
+    fn unknown_arg_names_the_first_flag_not_accepted() {
+        let args = |list: &[&str]| {
+            list.iter()
+                .map(|a| a.to_string())
+                .collect::<Vec<_>>()
+                .into_iter()
+        };
+        let accepted = ["--quick", "--idle"];
+        assert_eq!(unknown_arg(args(&[]), &accepted), None);
+        assert_eq!(unknown_arg(args(&["--quick", "--idle"]), &accepted), None);
+        assert_eq!(
+            unknown_arg(args(&["--quick", "--sharded", "--x"]), &accepted),
+            Some("--sharded".to_owned())
+        );
+        assert_eq!(
+            unknown_arg(args(&["quick"]), &accepted),
+            Some("quick".to_owned())
+        );
     }
 
     #[test]

@@ -29,8 +29,10 @@
 //!   deadline-aware retry — capped exponential backoff with jitter that
 //!   never retries past the request's remaining budget;
 //! - [`loadgen`]: a seeded open-loop Poisson load generator whose
-//!   submitter threads share a few clients, producing
-//!   throughput/latency/reject-rate reports;
+//!   submitter threads share a few clients, producing per-outcome counts,
+//!   latency percentiles and delivered utility. It is the one load
+//!   generator for tests and bench scenarios; the serving benchmark keeps
+//!   its own driver;
 //! - [`shard`]: a [`shard::ShardRouter`] front tier that consistently
 //!   hashes routing keys across N shards, each an in-process runtime in a
 //!   slot of the gateway's own event loop — a router is that loop with

@@ -20,7 +20,6 @@ use rand::{Rng, SeedableRng};
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::io;
-use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -110,7 +109,8 @@ impl Default for LoadgenConfig {
     }
 }
 
-/// Aggregated results of one run, serializable to JSON for `results/`.
+/// Aggregated results of one run, serializable into a bench's results
+/// document.
 #[derive(Debug, Clone, Serialize)]
 pub struct LoadReport {
     /// Requests offered.
@@ -137,25 +137,15 @@ pub struct LoadReport {
     pub errors: u64,
     /// Wall-clock duration of the run in seconds.
     pub elapsed_s: f64,
-    /// Completed answers (including expired) per second.
-    pub throughput_rps: f64,
     /// Round-trip latency percentiles over answered requests, ms.
     pub p50_ms: f64,
-    pub p95_ms: f64,
     pub p99_ms: f64,
-    /// rejected / requests.
-    pub reject_rate: f64,
-    /// (expired + deadline_exhausted) / requests.
-    pub deadline_miss_rate: f64,
     /// Mean stages executed per answered request.
     pub mean_stages: f64,
     /// Summed confidence of every non-expired answer — the run's
     /// delivered utility under the paper's imprecise-computation model
     /// (a miss delivers zero, a degraded answer its partial confidence).
     pub aggregate_utility: f64,
-    /// `aggregate_utility / elapsed_s`: delivered utility per second,
-    /// the curve the overload benchmark compares across policies.
-    pub utility_per_s: f64,
     /// Per-tenant breakdown (empty unless `LoadgenConfig::tenants` was
     /// set), keyed by tenant name.
     pub per_tenant: BTreeMap<String, TenantLoadReport>,
@@ -175,23 +165,8 @@ pub struct TenantLoadReport {
     pub p99_ms: f64,
 }
 
-impl LoadReport {
-    /// Serializes the report as pretty JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("LoadReport serializes infallibly")
-    }
-
-    /// Writes the JSON report to `path`, creating parent directories.
-    pub fn write_json(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let path = path.as_ref();
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.to_json())
-    }
-}
-
 /// One request in the pre-generated schedule.
+#[derive(Debug, PartialEq)]
 struct PlannedRequest {
     /// Offset from run start at which to fire.
     at: Duration,
@@ -321,43 +296,8 @@ pub fn run(config: &LoadgenConfig) -> LoadReport {
         "loadgen needs at least one submitter"
     );
     assert!(config.rate_hz > 0.0, "arrival rate must be positive");
-    let workers = config.concurrency;
-
-    let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
-    let total_weight: f64 = config.classes.iter().map(|c| c.weight).sum();
-    assert!(
-        total_weight > 0.0,
-        "class weights must sum to a positive value"
-    );
-
-    let tenant_weights: Vec<f64> = config.tenants.iter().map(|t| t.weight).collect();
-    let tenant_weight: f64 = tenant_weights.iter().sum();
-    assert!(
-        config.tenants.is_empty() || tenant_weight > 0.0,
-        "tenant weights must sum to a positive value"
-    );
-
     // Pre-generate the whole schedule so workers only sleep and send.
-    let mut schedules: Vec<Vec<PlannedRequest>> = (0..workers).map(|_| Vec::new()).collect();
-    let mut clock = Duration::ZERO;
-    for i in 0..config.total_requests {
-        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        clock += Duration::from_secs_f64(-u.ln() / config.rate_hz);
-        let class = weighted_choice(&config.classes, total_weight, rng.gen_range(0.0..1.0));
-        let payload: Vec<f32> = (0..config.classes[class].payload_len)
-            .map(|_| rng.gen_range(-1.0f32..1.0))
-            .collect();
-        let key = config.keyspace.map(|k| rng.gen_range(0..k.max(1)));
-        let tenant = (!config.tenants.is_empty())
-            .then(|| weighted_index(&tenant_weights, tenant_weight, rng.gen_range(0.0..1.0)));
-        schedules[i % workers].push(PlannedRequest {
-            at: clock,
-            class,
-            payload,
-            key,
-            tenant,
-        });
-    }
+    let schedules = build_schedules(config);
 
     let clients = (0..config.connections)
         .map(|i| {
@@ -447,18 +387,55 @@ pub fn run(config: &LoadgenConfig) -> LoadReport {
         deadline_exhausted: total.deadline_exhausted,
         errors: total.errors,
         elapsed_s: elapsed.as_secs_f64(),
-        throughput_rps: answered as f64 / elapsed.as_secs_f64().max(1e-9),
         p50_ms: percentile(&total.latencies_ms, 0.50),
-        p95_ms: percentile(&total.latencies_ms, 0.95),
         p99_ms: percentile(&total.latencies_ms, 0.99),
-        reject_rate: total.rejected as f64 / requests.max(1) as f64,
-        deadline_miss_rate: (total.expired + total.deadline_exhausted) as f64
-            / requests.max(1) as f64,
         mean_stages: total.stages_sum as f64 / answered.max(1) as f64,
         aggregate_utility: total.utility_sum,
-        utility_per_s: total.utility_sum / elapsed.as_secs_f64().max(1e-9),
         per_tenant,
     }
+}
+
+/// Draws the whole open-loop schedule from `config.seed` and deals it
+/// round-robin to `config.concurrency` workers: per request, a Poisson
+/// arrival gap, a class by weight, a payload, a routing key when
+/// `keyspace` is set, and a tenant by weight when `tenants` is non-empty.
+fn build_schedules(config: &LoadgenConfig) -> Vec<Vec<PlannedRequest>> {
+    let class_weights: Vec<f64> = config.classes.iter().map(|c| c.weight).collect();
+    let class_weight: f64 = class_weights.iter().sum();
+    assert!(
+        class_weight > 0.0,
+        "class weights must sum to a positive value"
+    );
+    let tenant_weights: Vec<f64> = config.tenants.iter().map(|t| t.weight).collect();
+    let tenant_weight: f64 = tenant_weights.iter().sum();
+    assert!(
+        config.tenants.is_empty() || tenant_weight > 0.0,
+        "tenant weights must sum to a positive value"
+    );
+
+    let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
+    let mut schedules: Vec<Vec<PlannedRequest>> =
+        (0..config.concurrency).map(|_| Vec::new()).collect();
+    let mut clock = Duration::ZERO;
+    for i in 0..config.total_requests {
+        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+        clock += Duration::from_secs_f64(-u.ln() / config.rate_hz);
+        let class = weighted_index(&class_weights, class_weight, rng.gen_range(0.0..1.0));
+        let payload: Vec<f32> = (0..config.classes[class].payload_len)
+            .map(|_| rng.gen_range(-1.0f32..1.0))
+            .collect();
+        let key = config.keyspace.map(|k| rng.gen_range(0..k.max(1)));
+        let tenant = (!config.tenants.is_empty())
+            .then(|| weighted_index(&tenant_weights, tenant_weight, rng.gen_range(0.0..1.0)));
+        schedules[i % config.concurrency].push(PlannedRequest {
+            at: clock,
+            class,
+            payload,
+            key,
+            tenant,
+        });
+    }
+    schedules
 }
 
 /// The wire addressing for one planned request. With a grace window, the
@@ -518,19 +495,7 @@ fn worker_loop(
     tally
 }
 
-/// Picks a class index from cumulative weights given `u` in [0, 1).
-fn weighted_choice(classes: &[ClassSpec], total_weight: f64, u: f64) -> usize {
-    let mut cut = u * total_weight;
-    for (i, class) in classes.iter().enumerate() {
-        cut -= class.weight;
-        if cut < 0.0 {
-            return i;
-        }
-    }
-    classes.len() - 1
-}
-
-/// Picks an index from a raw weight slice given `u` in [0, 1).
+/// Picks an index from a weight slice given `u` in [0, 1).
 fn weighted_index(weights: &[f64], total_weight: f64, u: f64) -> usize {
     let mut cut = u * total_weight;
     for (i, weight) in weights.iter().enumerate() {
@@ -562,15 +527,6 @@ mod tests {
             weight,
             payload_len: 4,
         }
-    }
-
-    #[test]
-    fn weighted_choice_partitions_the_unit_interval() {
-        let classes = vec![spec("a", 1.0), spec("b", 3.0)];
-        assert_eq!(weighted_choice(&classes, 4.0, 0.0), 0);
-        assert_eq!(weighted_choice(&classes, 4.0, 0.24), 0);
-        assert_eq!(weighted_choice(&classes, 4.0, 0.26), 1);
-        assert_eq!(weighted_choice(&classes, 4.0, 0.999), 1);
     }
 
     #[test]
@@ -641,29 +597,36 @@ mod tests {
 
     #[test]
     fn schedule_generation_is_deterministic() {
-        let config = LoadgenConfig {
+        let config = |seed: u64| LoadgenConfig {
             total_requests: 32,
+            concurrency: 3,
             classes: vec![spec("a", 1.0), spec("b", 1.0)],
-            seed: 42,
+            keyspace: Some(1_000),
+            tenants: vec![
+                TenantSpec {
+                    name: "t0".to_owned(),
+                    weight: 1.0,
+                },
+                TenantSpec {
+                    name: "t1".to_owned(),
+                    weight: 2.0,
+                },
+            ],
+            seed,
             ..LoadgenConfig::default()
         };
-        // Regenerate the schedule twice through the public seed and check
-        // the class sequence matches: run() derives everything from seed.
-        let draw = |seed: u64| -> Vec<usize> {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let total: f64 = config.classes.iter().map(|c| c.weight).sum();
-            (0..config.total_requests)
-                .map(|_| {
-                    let _gap: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                    let class = weighted_choice(&config.classes, total, rng.gen_range(0.0..1.0));
-                    for _ in 0..config.classes[class].payload_len {
-                        let _: f32 = rng.gen_range(-1.0f32..1.0);
-                    }
-                    class
-                })
-                .collect()
-        };
-        assert_eq!(draw(42), draw(42));
-        assert_ne!(draw(42), draw(43), "different seeds should diverge");
+        let first = build_schedules(&config(42));
+        assert_eq!(first.len(), 3, "one schedule per submitter");
+        assert_eq!(first.iter().map(Vec::len).sum::<usize>(), 32);
+        assert!(first
+            .iter()
+            .flatten()
+            .all(|p| p.key.is_some() && p.tenant.is_some()));
+        assert_eq!(first, build_schedules(&config(42)));
+        assert_ne!(
+            first,
+            build_schedules(&config(43)),
+            "different seeds should diverge"
+        );
     }
 }

@@ -251,9 +251,9 @@ fn old_connections_reach_a_revived_shard_first_try() {
 }
 
 // ---------------------------------------------------------------------
-// Loadgen through a kill with NO client retries: the tier itself
-// absorbs the fault, so the report shows zero rejects, zero errors, zero
-// deadline misses — every request completed.
+// Loadgen through a kill and then a live scale-out with NO client
+// retries: the tier itself absorbs both, so the report shows zero
+// rejects, zero errors, zero deadline misses — every request completed.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -262,20 +262,33 @@ fn loadgen_through_kill_is_zero_error() {
     const TOTAL: usize = 300;
     let router = start(SHARDS, Duration::from_millis(1));
     let config = loadgen_config(router.local_addr().to_string(), TOTAL, 23);
+    let epoch_start = router.ring_epoch();
 
     let run = std::thread::spawn(move || eugene_net::loadgen::run(&config));
     std::thread::sleep(Duration::from_millis(150));
-    router.kill_shard(0);
+    assert!(router.kill_shard(0), "victim was alive");
+    std::thread::sleep(Duration::from_millis(120));
+    router
+        .add_shard(shard_runtime(
+            RAMP.to_vec(),
+            Duration::from_millis(1),
+            &runtime_config(),
+        ))
+        .expect("live scale-out after the kill");
     let report = run.join().expect("loadgen run never hangs");
 
     assert_eq!(
         report.completed, TOTAL as u64,
-        "kill must be invisible: {report:?}"
+        "kill + scale-out must be invisible: {report:?}"
     );
     assert_eq!(report.rejected, 0, "{report:?}");
     assert_eq!(report.rejected_shard_lost, 0, "{report:?}");
     assert_eq!(report.errors, 0, "{report:?}");
     assert_eq!(report.deadline_exhausted, 0, "{report:?}");
+    assert!(
+        router.ring_epoch() - epoch_start >= 2,
+        "the kill and the scale-out must each bump the ring epoch"
+    );
     router.shutdown();
 }
 
