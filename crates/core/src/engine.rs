@@ -125,14 +125,7 @@ impl InferenceEngine for StagedNetworkEngine {
     }
 
     fn plan_cache_stats(&self) -> Option<eugene_serve::PlanCacheStats> {
-        let s = self.network.plan_cache().stats();
-        Some(eugene_serve::PlanCacheStats {
-            hits: s.hits,
-            misses: s.misses,
-            invalidations: s.invalidations,
-            entries: s.entries,
-            generation: s.generation,
-        })
+        Some(self.network.plan_cache().stats())
     }
 }
 

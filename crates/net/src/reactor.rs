@@ -10,11 +10,12 @@
 //! need edge-triggered re-arming discipline.
 //!
 //! A [`Waker`] (the classic self-pipe) lets other threads — the serving
-//! runtime's completion hook, `Gateway::shutdown` — nudge a thread
-//! blocked in [`Poller::wait`] without any timeout-based polling.
+//! runtime's reply sink, `Gateway::shutdown` — nudge a thread blocked in
+//! [`Poller::wait`] without any timeout-based polling.
 
 use std::io;
 use std::os::unix::io::RawFd;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -431,6 +432,9 @@ fn set_nonblocking(fd: RawFd) -> io::Result<()> {
 struct WakerInner {
     read_fd: RawFd,
     write_fd: RawFd,
+    /// A wake wrote the pipe and no [`Waker::drain`] has cleared it
+    /// since: further wakes skip the write.
+    pending: AtomicBool,
 }
 
 impl Drop for WakerInner {
@@ -445,7 +449,9 @@ impl Drop for WakerInner {
 /// Self-pipe wakeup handle: cloneable and cheap to signal from any
 /// thread. Register [`Waker::read_fd`] with a [`Poller`] (readable
 /// interest); [`Waker::wake`] makes the next `wait` return, and the
-/// owning loop calls [`Waker::drain`] to clear the pipe.
+/// owning loop calls [`Waker::drain`] to clear the pipe before it looks
+/// at what the wakers announced. Wakes between two drains cost one pipe
+/// write in all.
 #[derive(Clone)]
 pub struct Waker {
     inner: Arc<WakerInner>,
@@ -460,6 +466,7 @@ impl Waker {
         let inner = WakerInner {
             read_fd: fds[0],
             write_fd: fds[1],
+            pending: AtomicBool::new(false),
         };
         // Both ends non-blocking: `wake` must never stall its caller (a
         // full pipe already guarantees a pending wakeup), and `drain`
@@ -476,9 +483,14 @@ impl Waker {
         self.inner.read_fd
     }
 
-    /// Nudges the poller; coalesces freely (a full pipe means a wakeup is
-    /// already pending, so the error is ignored by design).
+    /// Nudges the poller. A wake while an earlier one is still pending
+    /// (not yet cleared by [`Waker::drain`]) writes nothing: the pipe is
+    /// already readable, or the loop is inside `drain` and looks at what
+    /// this wake announced after it.
     pub fn wake(&self) {
+        if self.inner.pending.swap(true, Ordering::AcqRel) {
+            return;
+        }
         let byte = 1u8;
         unsafe {
             ffi::write(
@@ -490,7 +502,11 @@ impl Waker {
     }
 
     /// Empties the pipe after a wakeup so level-triggered polling goes
-    /// quiet again.
+    /// quiet again, then clears the pending flag, in that order: a wake
+    /// that lands after the pipe was read but before the flag cleared
+    /// writes nothing, but the caller looks at what it announced next.
+    /// The next wake after the flag clears writes the pipe again, so no
+    /// wakeup is lost.
     pub fn drain(&self) {
         let mut buf = [0u8; 64];
         loop {
@@ -502,9 +518,10 @@ impl Waker {
                 )
             };
             if n <= 0 {
-                return;
+                break;
             }
         }
+        self.inner.pending.swap(false, Ordering::AcqRel);
     }
 }
 
@@ -694,6 +711,53 @@ mod tests {
                 "{name}: timeout honoured"
             );
         }
+    }
+
+    /// Bytes readable on `waker`'s pipe, consumed without touching the
+    /// pending flag.
+    fn pipe_bytes(waker: &Waker) -> usize {
+        let mut buf = [0u8; 64];
+        let mut total = 0;
+        loop {
+            let n = unsafe {
+                ffi::read(
+                    waker.read_fd(),
+                    buf.as_mut_ptr() as *mut std::os::raw::c_void,
+                    buf.len(),
+                )
+            };
+            if n <= 0 {
+                return total;
+            }
+            total += n as usize;
+        }
+    }
+
+    #[test]
+    fn wakes_before_a_drain_write_the_pipe_once() {
+        let waker = Waker::new().unwrap();
+        for _ in 0..100 {
+            waker.wake();
+        }
+        assert_eq!(pipe_bytes(&waker), 1, "pending wakes coalesce");
+        waker.drain();
+        let mut poller = Poller::new().unwrap();
+        poller.register(waker.read_fd(), 0, Interest::READ).unwrap();
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(20)))
+            .unwrap();
+        assert!(events.is_empty(), "drained pipe is quiet");
+        // The drain cleared the flag: the next wake writes again.
+        waker.wake();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(
+            events.iter().any(|e| e.token == 0 && e.readable),
+            "a wake after a drain must make the pipe readable"
+        );
+        assert_eq!(pipe_bytes(&waker), 1);
     }
 
     #[test]

@@ -11,17 +11,18 @@
 //! a [`FrameBuffer`], and routes each submit through the shared
 //! [`HashRing`] (its routing key, or the connection's key) to the owning
 //! slot, where [`admit_submit`] admits it and `submit_to` hands it to the
-//! slot's registry. The runtimes' shared response and progress funnels
-//! are demultiplexed back into per-connection write queues. Write
-//! interest is armed only while a queue is non-empty, so ten thousand
-//! idle connections cost zero wakeups.
+//! slot's registry. Write interest is armed only while a queue is
+//! non-empty, so ten thousand idle connections cost zero wakeups.
 //!
-//! Every registry's completion waker
-//! ([`ModelRegistry::set_completion_waker`]) nudges the loop's wakeup
-//! pipe whenever any model's runtime finishes a response or emits stage
-//! progress, so forwarding latency is event-driven end to end — no
-//! polling tick anywhere. The loop's wait times out only for a deadline
-//! it owns: a benched listener's retry or a shutdown drain.
+//! Every submit, to any slot and any model, carries the loop's one
+//! [`ReplySink`]: it puts the runtime's [`Reply`] on the loop's one reply
+//! channel and wakes the loop's pipe. The loop drains that channel in
+//! order into per-connection write queues, so a request's stage updates
+//! reach the wire before its `Final` and forwarding is event-driven end
+//! to end — no polling tick anywhere, and nothing to re-attach when a
+//! model is loaded or a shard revived. The loop's wait times out only
+//! for a deadline it owns: a benched listener's retry or a shutdown
+//! drain.
 //!
 //! A kill takes a slot off the ring and bumps its generation under the
 //! ring's write lock, then wakes the loop. Each route remembers the slot
@@ -51,10 +52,10 @@ use crate::tenant::TenantGovernor;
 use crate::wire::{
     self, Frame, FrameBuffer, RejectReason, SubmitRequest, WireError, PROTOCOL_VERSION,
 };
-use crossbeam::channel::{Receiver, Sender};
+use crossbeam::channel::Receiver;
 use eugene_serve::{
-    InferenceRequest, InferenceResponse, ModelRegistry, RegistryError, RequestId, RuntimeStats,
-    ServiceClass, StageProgress,
+    InferenceRequest, ModelRegistry, RegistryError, Reply, ReplySink, RequestId, RuntimeStats,
+    ServiceClass,
 };
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
@@ -68,7 +69,7 @@ use std::time::{Duration, Instant};
 
 /// Poller token for the listening socket.
 const TOKEN_LISTENER: usize = 0;
-/// Poller token for the wakeup pipe (runtime completions, ring edits,
+/// Poller token for the wakeup pipe (runtime replies, ring edits,
 /// shutdown).
 const TOKEN_WAKER: usize = 1;
 /// First token handed to an accepted connection.
@@ -166,13 +167,6 @@ impl Shared {
         self.membership.read().slots.get(index).cloned()
     }
 
-    /// Points `slot`'s registry at the loop's wakeup pipe.
-    pub(crate) fn attach(&self, slot: &Slot) {
-        let waker = self.waker.clone();
-        slot.registry
-            .set_completion_waker(Arc::new(move || waker.wake()));
-    }
-
     /// Applies a ring edit under the membership write lock. When `edit`
     /// reports a change (`Some`), the epoch is bumped inside the same
     /// critical section and the loop is woken to replay stranded routes.
@@ -243,16 +237,21 @@ impl Engine {
             stop: AtomicBool::new(false),
             waker: waker.clone(),
         });
-        // Everything any runtime finishes — responses and stage progress
-        // — lands in the loop's funnels and kicks the wakeup pipe. A
-        // registry re-applies the waker to models loaded later, so model
-        // churn and revives never drop the nudge.
-        for slot in slots {
-            shared.attach(&slot);
-            shared.membership.write().slots.push(Arc::new(slot));
-        }
-        let (respond_tx, respond_rx) = crossbeam::channel::unbounded();
-        let (progress_tx, progress_rx) = crossbeam::channel::unbounded();
+        shared
+            .membership
+            .write()
+            .slots
+            .extend(slots.into_iter().map(Arc::new));
+        // Every reply of every runtime — stage and final — lands on one
+        // channel, in the order it was sent, and kicks the wakeup pipe.
+        let (reply_tx, replies) = crossbeam::channel::unbounded();
+        let sink: ReplySink = {
+            let waker = waker.clone();
+            Arc::new(move |reply| {
+                let _ = reply_tx.send(reply);
+                waker.wake();
+            })
+        };
 
         shared.edge.note_thread_spawned();
         let mut reactor = Reactor {
@@ -264,10 +263,8 @@ impl Engine {
             shared: Arc::clone(&shared),
             conns: HashMap::new(),
             routes: HashMap::new(),
-            respond_tx,
-            respond_rx,
-            progress_tx,
-            progress_rx,
+            sink,
+            replies,
             next_token: TOKEN_FIRST_CONN,
             accept_backoff: ACCEPT_BACKOFF_BASE,
             accept_errors: 0,
@@ -412,10 +409,9 @@ struct Reactor {
     swept_epoch: u64,
     conns: HashMap<usize, Conn>,
     routes: HashMap<RequestId, Route>,
-    respond_tx: Sender<InferenceResponse>,
-    respond_rx: Receiver<InferenceResponse>,
-    progress_tx: Sender<StageProgress>,
-    progress_rx: Receiver<StageProgress>,
+    /// Handed to every submit; feeds `replies`.
+    sink: ReplySink,
+    replies: Receiver<Reply>,
     next_token: usize,
     accept_backoff: Duration,
     accept_errors: u32,
@@ -466,7 +462,7 @@ impl Reactor {
             }
 
             self.replay_stale(&mut dirty);
-            self.drain_funnels(&mut dirty);
+            self.drain_replies(&mut dirty);
             self.settle(&mut dirty);
         }
     }
@@ -720,12 +716,11 @@ impl Reactor {
             let service_class =
                 ServiceClass::new(&submit.class, Duration::from_millis(submit.budget_ms));
             let request = InferenceRequest::new(submit.payload.clone(), service_class);
-            let progress = submit.want_progress.then(|| self.progress_tx.clone());
             match slot.registry.submit_to(
                 submit.model.as_deref(),
                 request,
-                self.respond_tx.clone(),
-                progress,
+                submit.want_progress,
+                Arc::clone(&self.sink),
             ) {
                 Ok((id, _model)) => {
                     // Single-threaded: the route is registered before the
@@ -812,49 +807,48 @@ impl Reactor {
         }
     }
 
-    /// Forwards everything the runtimes have finished, preserving the
-    /// per-tag "all `StageUpdate`s, then the `Final`" wire contract: a
-    /// runtime enqueues a request's progress strictly before its
-    /// response, so sweeping the progress funnel dry before forwarding
-    /// each response guarantees that response's updates are already
-    /// queued ahead of its `Final`. Frames of a stale route are dropped:
-    /// its replay answers instead.
-    fn drain_funnels(&mut self, dirty: &mut Vec<usize>) {
-        loop {
-            while let Ok(event) = self.progress_rx.try_recv() {
-                let Some(route) = self.routes.get(&event.request_id) else {
-                    continue; // connection died; drop the update
-                };
-                if route.is_stale() {
-                    continue;
+    /// Forwards every reply the runtimes have sent, in the order they
+    /// sent them: a stage becomes a `StageUpdate`, a final answer the
+    /// route's `Final`. A runtime sends a request's stage replies before
+    /// its final one, so the per-tag "all `StageUpdate`s, then the
+    /// `Final`" wire contract holds by channel order. Replies for a stale
+    /// route are dropped (its replay answers instead), as are replies for
+    /// a route already answered or whose connection died.
+    fn drain_replies(&mut self, dirty: &mut Vec<usize>) {
+        while let Ok(reply) = self.replies.try_recv() {
+            match reply {
+                Reply::Stage(event) => {
+                    let live = self.routes.get(&event.request_id).filter(|r| !r.is_stale());
+                    let Some(route) = live else {
+                        continue;
+                    };
+                    let frame = Frame::StageUpdate {
+                        client_tag: route.submit.client_tag,
+                        stage: event.stage as u32,
+                        confidence: event.confidence,
+                        predicted: event.predicted as u64,
+                    };
+                    let token = route.token;
+                    self.queue_frame(token, &frame, None);
+                    dirty.push(token);
                 }
-                let frame = Frame::StageUpdate {
-                    client_tag: route.submit.client_tag,
-                    stage: event.stage as u32,
-                    confidence: event.confidence,
-                    predicted: event.predicted as u64,
-                };
-                let token = route.token;
-                self.queue_frame(token, &frame, None);
-                dirty.push(token);
+                Reply::Final(response) => {
+                    if self.routes.get(&response.id).is_none_or(Route::is_stale) {
+                        continue;
+                    }
+                    let Some(route) = self.routes.remove(&response.id) else {
+                        continue;
+                    };
+                    if let Some(conn) = self.conns.get_mut(&route.token) {
+                        conn.in_flight = conn.in_flight.saturating_sub(1);
+                        let frame = final_frame(route.submit.client_tag, response);
+                        self.answer(route.token, &frame, &route.slot.status, Some(route.lease));
+                        dirty.push(route.token);
+                    }
+                    // Connection gone: dropping the lease releases the
+                    // admission reservation(s) here instead.
+                }
             }
-            let Ok(response) = self.respond_rx.try_recv() else {
-                return;
-            };
-            if self.routes.get(&response.id).is_none_or(Route::is_stale) {
-                continue; // answered already, or its replay will answer
-            }
-            let Some(route) = self.routes.remove(&response.id) else {
-                continue;
-            };
-            if let Some(conn) = self.conns.get_mut(&route.token) {
-                conn.in_flight = conn.in_flight.saturating_sub(1);
-                let frame = final_frame(route.submit.client_tag, response);
-                self.answer(route.token, &frame, &route.slot.status, Some(route.lease));
-                dirty.push(route.token);
-            }
-            // Connection gone: dropping the lease releases the admission
-            // reservation(s) here instead.
         }
     }
 

@@ -415,7 +415,6 @@ impl ShardRouter {
     pub fn add_shard(&self, runtime: ServingRuntime) -> io::Result<usize> {
         let registry = ModelRegistry::single(runtime);
         let slot = Slot::new(registry, &self.shared().config, GatewayStatus::default());
-        self.shared().attach(&slot);
         let index = self.shared().edit(|membership| {
             membership.slots.push(Arc::new(slot));
             let index = membership.slots.len() - 1;

@@ -48,7 +48,7 @@
 use crate::graph::{ActKind, LayerRef, Op, OpGraph, OutputRole, SourceKind};
 use crate::linear::WeightPack;
 use crate::{Activation, Dropout, Linear, StagedNetwork};
-use eugene_tensor::{Matrix, PackedRhs, Precision};
+use eugene_tensor::{Matrix, PackedRhs, PlanCacheStats, Precision};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -687,21 +687,6 @@ pub fn compile_graph(
 }
 
 type NodeIdx = usize;
-
-/// Point-in-time counters for a [`PlanCache`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlanCacheStats {
-    /// Lookups served by an already-compiled, current-generation plan.
-    pub hits: u64,
-    /// Lookups that compiled a new plan.
-    pub misses: u64,
-    /// Generation bumps (each drops every cached plan).
-    pub invalidations: u64,
-    /// Plans currently cached.
-    pub entries: usize,
-    /// Current generation tag.
-    pub generation: u64,
-}
 
 /// The per-network compiled-plan cache: `(stage, rows, precision)` →
 /// [`StagePlan`], guarded by a generation counter that every parameter

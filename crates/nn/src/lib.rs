@@ -59,7 +59,7 @@ mod staged;
 mod trainer;
 
 pub use activation::Activation;
-pub use compile::{CompileError, PlanCache, PlanCacheStats, PlanKey, StagePlan};
+pub use compile::{CompileError, PlanCache, PlanKey, StagePlan};
 pub use dropout::Dropout;
 pub use graph::{ActKind, LayerRef, Op, OpGraph, OutputRole, SourceKind};
 pub use layer::Layer;
@@ -73,7 +73,7 @@ pub use trainer::{TrainConfig, TrainReport, Trainer};
 
 // The kernel-parallelism knob, re-exported so training and serving code
 // can size the worker pool without depending on `eugene_tensor` directly.
-pub use eugene_tensor::{parallelism, set_parallelism, Precision};
+pub use eugene_tensor::{parallelism, set_parallelism, PlanCacheStats, Precision};
 
 #[cfg(test)]
 mod integration_tests;

@@ -46,7 +46,8 @@ mod tree;
 pub use device::DeviceModel;
 pub use flops::ConvSpec;
 pub use stage_cost::StageCostModel;
-// Re-exported so cost-model consumers can tag observations without a
-// direct tensor dependency.
-pub use eugene_tensor::Precision;
+// Re-exported so cost-model consumers (the serving runtime) can tag
+// observations, and report plan-cache counters, without a direct tensor
+// dependency.
+pub use eugene_tensor::{PlanCacheStats, Precision};
 pub use tree::{FlopsLinearModel, PwlRegressionTree, TreeConfig};

@@ -1,22 +1,4 @@
-/// Point-in-time counters of an engine's compiled-plan cache, surfaced
-/// through [`InferenceEngine::plan_cache_stats`] for observability.
-///
-/// The serving crate is model-agnostic, so this mirrors (rather than
-/// reuses) the plan-cache stats type of the neural-network crate;
-/// `eugene-service` converts between the two.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlanCacheStats {
-    /// Dispatches served by an already-compiled plan.
-    pub hits: u64,
-    /// Dispatches that compiled a new plan.
-    pub misses: u64,
-    /// Times a parameter mutation dropped every cached plan.
-    pub invalidations: u64,
-    /// Plans currently cached.
-    pub entries: usize,
-    /// Current cache generation tag.
-    pub generation: u64,
-}
+use eugene_profiler::PlanCacheStats;
 
 /// Output of one executed stage: the paper's `(predicted value,
 /// confidence)` tuple.

@@ -14,11 +14,18 @@
 //! stage result back on its one completion channel, and each coordinator
 //! pass kills whatever is past its deadline.
 //!
+//! Each request is answered through the [`ReplySink`] its submitter
+//! passed to [`ServingRuntime::submit_to`]: a worker sends a
+//! [`Reply::Stage`] per finished stage if the submitter asked for them,
+//! before it reports the stage to the coordinator, and the coordinator
+//! sends exactly one [`Reply::Final`] after it — so a request's stage
+//! replies always come before its final one.
+//!
 //! - [`WorkerPool`]: a fixed pool of worker threads executing stage jobs;
 //! - [`ServingRuntime`]: the coordinator gluing a staged model
 //!   ([`InferenceEngine`]), a stage scheduler
-//!   ([`eugene_sched::Scheduler`]) and the pool into a request/response
-//!   service, with optional per-request [`StageProgress`] streams;
+//!   ([`eugene_sched::Scheduler`]) and the pool into a request/reply
+//!   service;
 //! - [`ServiceClass`]: per-class latency constraints (the paper's §V
 //!   extension: "the scheduler ... needs to be modified to support
 //!   multiple service classes");
@@ -41,10 +48,12 @@ mod runtime;
 mod stats;
 
 pub use accounting::{ClassUsage, PricingModel, UsageLedger};
-pub use engine::{EngineSession, InferenceEngine, PlanCacheStats, StageReport};
-pub use eugene_profiler::{Precision, StageCostModel};
+pub use engine::{EngineSession, InferenceEngine, StageReport};
+pub use eugene_profiler::{PlanCacheStats, Precision, StageCostModel};
 pub use pool::WorkerPool;
 pub use registry::{ModelRegistry, RegistryError, VariantDispatcher, DEFAULT_MODEL};
-pub use request::{InferenceRequest, InferenceResponse, RequestId, ServiceClass, StageProgress};
-pub use runtime::{CompletionWaker, OverloadPolicy, RuntimeConfig, ServingRuntime};
+pub use request::{
+    InferenceRequest, InferenceResponse, Reply, ReplySink, RequestId, ServiceClass, StageProgress,
+};
+pub use runtime::{OverloadPolicy, RuntimeConfig, ServingRuntime};
 pub use stats::{ModelBreakdown, RuntimeStats, StatsSnapshot, TenantBreakdown};

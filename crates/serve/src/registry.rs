@@ -1,8 +1,7 @@
 use crate::{
-    CompletionWaker, InferenceRequest, InferenceResponse, ModelBreakdown, RequestId, RuntimeStats,
-    ServingRuntime, StageProgress, StatsSnapshot,
+    InferenceRequest, ModelBreakdown, ReplySink, RequestId, RuntimeStats, ServingRuntime,
+    StatsSnapshot,
 };
-use crossbeam::channel::Sender;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -66,10 +65,6 @@ struct RegistryInner {
     /// Gauges of unloaded generations, kept so per-model counters are
     /// cumulative across a name's reloads rather than resetting.
     retired: Mutex<Vec<(String, RuntimeStats)>>,
-    /// Completion waker applied to every current and future runtime, so
-    /// a readiness-driven gateway registers once and model churn cannot
-    /// silently drop its wakeups.
-    waker: Mutex<Option<CompletionWaker>>,
     dispatcher: Mutex<Option<Arc<dyn VariantDispatcher>>>,
     default_model: Mutex<String>,
     versions: AtomicU64,
@@ -91,7 +86,7 @@ struct RegistryInner {
 /// # Submission vs unload ordering
 ///
 /// [`ModelRegistry::submit_to`] holds the model-map read lock across the
-/// underlying `submit_with_channels` call, and [`ModelRegistry::unload`]
+/// underlying [`ServingRuntime::submit_to`] call, and [`ModelRegistry::unload`]
 /// removes the entry under the write lock *before* shutting the runtime
 /// down. A submission therefore either lands on a runtime that will
 /// drain it, or observes the name as gone — it can never reach a runtime
@@ -109,7 +104,6 @@ impl ModelRegistry {
             inner: Arc::new(RegistryInner {
                 models: RwLock::new(HashMap::new()),
                 retired: Mutex::new(Vec::new()),
-                waker: Mutex::new(None),
                 dispatcher: Mutex::new(None),
                 default_model: Mutex::new(default_model.into()),
                 versions: AtomicU64::new(0),
@@ -134,9 +128,6 @@ impl ModelRegistry {
     pub fn load(&self, name: impl Into<String>, runtime: ServingRuntime) -> u64 {
         let name = name.into();
         let version = self.inner.versions.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(waker) = self.inner.waker.lock().expect("waker lock").clone() {
-            runtime.set_completion_waker(waker);
-        }
         let entry = ModelEntry {
             stats: runtime.stats(),
             runtime,
@@ -188,15 +179,6 @@ impl ModelRegistry {
     /// name no model. Replaces any previous dispatcher.
     pub fn set_dispatcher(&self, dispatcher: Arc<dyn VariantDispatcher>) {
         *self.inner.dispatcher.lock().expect("dispatcher lock") = Some(dispatcher);
-    }
-
-    /// Registers a completion waker on every loaded runtime, and on every
-    /// runtime loaded later (see [`ServingRuntime::set_completion_waker`]).
-    pub fn set_completion_waker(&self, waker: CompletionWaker) {
-        *self.inner.waker.lock().expect("waker lock") = Some(waker.clone());
-        for entry in self.inner.models.read().expect("model map lock").values() {
-            entry.runtime.set_completion_waker(waker.clone());
-        }
     }
 
     /// Loaded model names with their load generations, sorted by name.
@@ -259,15 +241,15 @@ impl ModelRegistry {
     }
 
     /// Submits a request to the model it resolves to (see
-    /// [`ModelRegistry::resolve`]), funneling the response — and optional
-    /// stage progress — to the caller's channels. Returns the assigned id
-    /// and the resolved model name.
+    /// [`ModelRegistry::resolve`]), its replies going to `sink` (see
+    /// [`ServingRuntime::submit_to`]). Returns the assigned id and the
+    /// resolved model name.
     pub fn submit_to(
         &self,
         model: Option<&str>,
         request: InferenceRequest,
-        respond: Sender<InferenceResponse>,
-        progress: Option<Sender<StageProgress>>,
+        want_stages: bool,
+        sink: ReplySink,
     ) -> Result<(RequestId, String), RegistryError> {
         let chosen = self.resolve(model, &request.payload);
         let models = self.inner.models.read().expect("model map lock");
@@ -276,9 +258,7 @@ impl ModelRegistry {
             .ok_or_else(|| RegistryError::UnknownModel(chosen.clone()))?;
         // The read lock is held across the submit: an unload's write lock
         // cannot interleave, so the runtime is still accepting here.
-        let id = entry
-            .runtime
-            .submit_with_channels(request, respond, progress);
+        let id = entry.runtime.submit_to(request, want_stages, sink);
         Ok((id, chosen))
     }
 
@@ -336,8 +316,8 @@ impl ModelRegistry {
 mod tests {
     use super::*;
     use crate::engine::testing::RampEngine;
-    use crate::{RuntimeConfig, ServiceClass};
-    use crossbeam::channel::unbounded;
+    use crate::{InferenceResponse, Reply, RuntimeConfig, ServiceClass};
+    use crossbeam::channel::{unbounded, Receiver};
     use eugene_sched::Fifo;
     use std::time::Duration;
 
@@ -356,6 +336,17 @@ mod tests {
         )
     }
 
+    /// A sink that forwards final answers to the returned channel.
+    fn answers() -> (ReplySink, Receiver<InferenceResponse>) {
+        let (tx, rx) = unbounded();
+        let sink: ReplySink = Arc::new(move |reply| {
+            if let Reply::Final(response) = reply {
+                let _ = tx.send(response);
+            }
+        });
+        (sink, rx)
+    }
+
     fn request(payload: f32) -> InferenceRequest {
         InferenceRequest::new(
             vec![payload],
@@ -369,16 +360,16 @@ mod tests {
         registry.load("full", runtime(vec![0.5, 0.7, 0.9], 1, 1.0));
         registry.load("compressed", runtime(vec![0.95], 1, 0.9));
 
-        let (tx, rx) = unbounded();
+        let (sink, rx) = answers();
         registry
-            .submit_to(Some("compressed"), request(3.0), tx.clone(), None)
+            .submit_to(Some("compressed"), request(3.0), false, Arc::clone(&sink))
             .expect("compressed is loaded");
         let response = rx.recv_timeout(Duration::from_secs(10)).unwrap();
         assert_eq!(response.stages_executed, 1, "compressed has one stage");
 
         // No name resolves to the default model.
         let (id, chosen) = registry
-            .submit_to(None, request(4.0), tx, None)
+            .submit_to(None, request(4.0), false, sink)
             .expect("default is loaded");
         assert_eq!(chosen, "full");
         let response = rx.recv_timeout(Duration::from_secs(10)).unwrap();
@@ -390,9 +381,9 @@ mod tests {
     #[test]
     fn unknown_model_is_a_clean_error() {
         let registry = ModelRegistry::new(DEFAULT_MODEL);
-        let (tx, _rx) = unbounded();
+        let (sink, _rx) = answers();
         let err = registry
-            .submit_to(Some("nope"), request(0.0), tx, None)
+            .submit_to(Some("nope"), request(0.0), false, sink)
             .unwrap_err();
         assert_eq!(err, RegistryError::UnknownModel("nope".to_owned()));
         registry.shutdown();
@@ -402,11 +393,11 @@ mod tests {
     fn unload_drains_in_flight_and_rejects_new_submissions() {
         let registry = ModelRegistry::new(DEFAULT_MODEL);
         registry.load(DEFAULT_MODEL, runtime(vec![0.5, 0.9], 20, 1.0));
-        let (tx, rx) = unbounded();
+        let (sink, rx) = answers();
         let mut ids = Vec::new();
         for i in 0..4 {
             let (id, _) = registry
-                .submit_to(None, request(i as f32), tx.clone(), None)
+                .submit_to(None, request(i as f32), false, Arc::clone(&sink))
                 .expect("loaded");
             ids.push(id);
         }
@@ -419,7 +410,7 @@ mod tests {
         }
         // The name is gone now.
         let err = registry
-            .submit_to(None, request(9.0), tx, None)
+            .submit_to(None, request(9.0), false, sink)
             .unwrap_err();
         assert_eq!(err, RegistryError::UnknownModel(DEFAULT_MODEL.to_owned()));
         assert!(!registry.unload(DEFAULT_MODEL), "second unload is a no-op");
@@ -430,9 +421,9 @@ mod tests {
     fn reload_bumps_version_and_keeps_cumulative_stats() {
         let registry = ModelRegistry::new(DEFAULT_MODEL);
         let v1 = registry.load(DEFAULT_MODEL, runtime(vec![0.9], 1, 1.0));
-        let (tx, rx) = unbounded();
+        let (sink, rx) = answers();
         registry
-            .submit_to(None, request(1.0), tx.clone(), None)
+            .submit_to(None, request(1.0), false, Arc::clone(&sink))
             .expect("loaded");
         rx.recv_timeout(Duration::from_secs(10)).unwrap();
 
@@ -440,7 +431,7 @@ mod tests {
         assert!(v2 > v1, "replacement is a newer generation");
         assert_eq!(registry.models(), vec![(DEFAULT_MODEL.to_owned(), v2)]);
         registry
-            .submit_to(None, request(2.0), tx, None)
+            .submit_to(None, request(2.0), false, sink)
             .expect("replacement serves");
         rx.recv_timeout(Duration::from_secs(10)).unwrap();
 
@@ -465,9 +456,9 @@ mod tests {
             .to_owned()
         }));
 
-        let (tx, rx) = unbounded();
+        let (sink, rx) = answers();
         let (_, chosen) = registry
-            .submit_to(None, request(0.5), tx.clone(), None)
+            .submit_to(None, request(0.5), false, Arc::clone(&sink))
             .unwrap();
         assert_eq!(chosen, "compressed");
         assert_eq!(
@@ -476,7 +467,7 @@ mod tests {
                 .stages_executed,
             1
         );
-        let (_, chosen) = registry.submit_to(None, request(2.0), tx, None).unwrap();
+        let (_, chosen) = registry.submit_to(None, request(2.0), false, sink).unwrap();
         assert_eq!(chosen, "full");
         assert_eq!(
             rx.recv_timeout(Duration::from_secs(10))

@@ -1,4 +1,5 @@
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Unique identifier assigned to each submitted request.
@@ -99,9 +100,10 @@ impl InferenceResponse {
     }
 }
 
-/// One finished stage of one request, streamed to a submitter that asked
-/// for private progress (see `ServingRuntime::submit_with_progress`) —
-/// the payload that crossed the paper's "named pipe in linux".
+/// One finished stage of one request, sent to the request's reply sink as
+/// a [`Reply::Stage`] when its submitter asked for stages (see
+/// `ServingRuntime::submit_to`) — the payload that crossed the paper's
+/// "named pipe in linux".
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageProgress {
     /// Which request progressed.
@@ -113,6 +115,23 @@ pub struct StageProgress {
     /// Updated predicted class.
     pub predicted: usize,
 }
+
+/// What the runtime tells a request's submitter: zero or more stage
+/// reports (only if the submitter asked for them), then exactly one final
+/// answer.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Reply {
+    /// One stage of the request finished.
+    Stage(StageProgress),
+    /// The request's answer; nothing follows it.
+    Final(InferenceResponse),
+}
+
+/// Where the runtime sends a request's [`Reply`]s. Called from worker
+/// threads (stages) and the coordinator (the final answer), so it must be
+/// cheap and must not block. A request's stage replies always reach it
+/// before its final one.
+pub type ReplySink = Arc<dyn Fn(Reply) + Send + Sync>;
 
 #[cfg(test)]
 mod tests {

@@ -1,27 +1,15 @@
 use crate::batch::GatherBuckets;
 use crate::{
-    EngineSession, InferenceEngine, InferenceRequest, InferenceResponse, RequestId, RuntimeStats,
-    StageProgress, StageReport, UsageLedger, WorkerPool,
+    EngineSession, InferenceEngine, InferenceRequest, InferenceResponse, Reply, ReplySink,
+    RequestId, RuntimeStats, StageProgress, StageReport, UsageLedger, WorkerPool,
 };
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use eugene_profiler::{Precision, StageCostModel};
 use eugene_sched::{Scheduler, TaskView};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// A readiness nudge invoked whenever the runtime pushes a completion or
-/// a private stage-progress event to a submitter's channel; see
-/// [`ServingRuntime::set_completion_waker`].
-pub type CompletionWaker = Arc<dyn Fn() + Send + Sync>;
-
-/// Shared slot holding the (optional) registered waker.
-type WakerCell = Arc<Mutex<Option<CompletionWaker>>>;
-
-fn current_waker(cell: &WakerCell) -> Option<CompletionWaker> {
-    cell.lock().ok().and_then(|guard| guard.clone())
-}
 
 /// What the runtime does with a request that cannot finish all the work
 /// its confidence threshold asks for before its deadline.
@@ -97,28 +85,20 @@ impl Default for RuntimeConfig {
     }
 }
 
-type Submission = (
-    RequestId,
-    InferenceRequest,
-    Sender<InferenceResponse>,
-    Option<Sender<StageProgress>>,
-);
+/// One submitted request: `(id, request, want_stages, sink)`.
+type Submission = (RequestId, InferenceRequest, bool, ReplySink);
 /// One task's stage outcome: `(id, session, report, panicked)`.
 type StageOutcome = (RequestId, Box<dyn EngineSession>, Option<StageReport>, bool);
 /// One worker job's outcomes: one per member of the dispatched batch.
 type JobDone = Vec<StageOutcome>;
-/// One gathered member handed to [`dispatch`]: `(id, session, private
-/// progress channel)`.
-type BatchMember = (
-    RequestId,
-    Box<dyn EngineSession>,
-    Option<Sender<StageProgress>>,
-);
+/// One gathered member handed to [`dispatch`]: `(id, session, the sink
+/// its stage replies go to, if it asked for them)`.
+type BatchMember = (RequestId, Box<dyn EngineSession>, Option<ReplySink>);
 
 /// Process-wide request-id source. Ids must be unique across *all*
-/// runtimes, not just within one: a model registry funnels many
-/// runtimes' responses into shared channels that demultiplex by id, so
-/// per-runtime counters would collide.
+/// runtimes, not just within one: a gateway hands one reply sink to many
+/// runtimes and demultiplexes their replies by id, so per-runtime
+/// counters would collide.
 static NEXT_REQUEST_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 /// The live serving coordinator (paper §III-C).
@@ -140,7 +120,6 @@ pub struct ServingRuntime {
     submit_tx: Option<Sender<Submission>>,
     ledger: UsageLedger,
     stats: RuntimeStats,
-    waker: WakerCell,
     /// A handle to the served engine, retained so observability
     /// surfaces (e.g. plan-cache counters) stay reachable after the
     /// engine moves into the coordinator thread.
@@ -186,18 +165,14 @@ impl ServingRuntime {
         let (submit_tx, submit_rx) = unbounded::<Submission>();
         let ledger = UsageLedger::new();
         let stats = RuntimeStats::new();
-        let waker: WakerCell = Arc::new(Mutex::new(None));
         let engine_handle = Arc::clone(&engine);
         let coordinator = {
             let ledger = ledger.clone();
             let stats = stats.clone();
-            let waker = Arc::clone(&waker);
             std::thread::Builder::new()
                 .name("eugene-coordinator".to_owned())
                 .spawn(move || {
-                    coordinator_loop(
-                        engine, scheduler, config, cost, submit_rx, ledger, stats, waker,
-                    )
+                    coordinator_loop(engine, scheduler, config, cost, submit_rx, ledger, stats)
                 })
                 .expect("spawn coordinator")
         };
@@ -205,7 +180,6 @@ impl ServingRuntime {
             submit_tx: Some(submit_tx),
             ledger,
             stats,
-            waker,
             engine: engine_handle,
             coordinator: Some(coordinator),
         }
@@ -219,92 +193,46 @@ impl ServingRuntime {
         self.engine.plan_cache_stats()
     }
 
-    /// Registers a completion waker: a cheap, idempotent nudge the
-    /// runtime invokes right after sending a response on a submitter's
-    /// respond channel or a stage report on a private progress channel.
-    ///
-    /// This is the hook a readiness-driven (event-loop) consumer needs:
-    /// instead of polling its funnel channels on a timer, it parks in its
-    /// poller and lets the runtime wake it exactly when something was
-    /// delivered. Spurious invocations are fine (wakers coalesce);
-    /// invocation order relative to other wakers is unspecified. A second
-    /// call replaces the previous waker.
-    pub fn set_completion_waker(&self, waker: CompletionWaker) {
-        if let Ok(mut cell) = self.waker.lock() {
-            *cell = Some(waker);
-        }
-    }
-
     /// Submits a request; the response arrives on the returned channel.
     ///
     /// # Panics
     ///
     /// Panics if called after [`ServingRuntime::shutdown`].
     pub fn submit(&self, request: InferenceRequest) -> (RequestId, Receiver<InferenceResponse>) {
-        self.submit_inner(request, None)
+        let (tx, rx) = unbounded();
+        let sink: ReplySink = Arc::new(move |reply| {
+            if let Reply::Final(response) = reply {
+                let _ = tx.send(response);
+            }
+        });
+        (self.submit_to(request, false, sink), rx)
     }
 
-    /// Submits a request and additionally returns a private per-request
-    /// stage-progress channel, closed once the final response is sent.
+    /// Submits a request whose replies go to `sink`: one
+    /// [`Reply::Stage`] per finished stage if `want_stages` is set, then
+    /// exactly one [`Reply::Final`]. Returns the assigned [`RequestId`].
     ///
-    /// The returned receiver only carries this request's stage reports,
-    /// so a caller (e.g. a network gateway streaming partial results)
-    /// needs no demultiplexing.
+    /// Every reply carries its request's id, so one sink can serve any
+    /// number of requests (and runtimes): the network gateway hands all
+    /// of its requests one sink and demultiplexes by id.
     ///
     /// # Panics
     ///
     /// Panics if called after [`ServingRuntime::shutdown`].
-    pub fn submit_with_progress(
+    pub fn submit_to(
         &self,
         request: InferenceRequest,
-    ) -> (
-        RequestId,
-        Receiver<InferenceResponse>,
-        Receiver<StageProgress>,
-    ) {
-        let (progress_tx, progress_rx) = unbounded();
-        let (id, response_rx) = self.submit_inner(request, Some(progress_tx));
-        (id, response_rx, progress_rx)
-    }
-
-    /// Submits a request whose response (and optional per-stage progress)
-    /// is routed to caller-supplied channels instead of fresh private
-    /// ones, returning the assigned [`RequestId`].
-    ///
-    /// Any number of requests may share the same channels: the response's
-    /// [`InferenceResponse::id`] and each progress event's
-    /// [`StageProgress::request_id`] identify which request they answer.
-    /// This is the funnel the network gateway uses to demultiplex
-    /// arbitrarily many in-flight requests per connection over a fixed
-    /// set of channels (and threads).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after [`ServingRuntime::shutdown`].
-    pub fn submit_with_channels(
-        &self,
-        request: InferenceRequest,
-        respond: Sender<InferenceResponse>,
-        progress: Option<Sender<StageProgress>>,
+        want_stages: bool,
+        sink: ReplySink,
     ) -> RequestId {
         let id = NEXT_REQUEST_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         self.stats.note_submitted();
         self.submit_tx
             .as_ref()
             .expect("runtime has been shut down")
-            .send((id, request, respond, progress))
+            .send((id, request, want_stages, sink))
             .expect("coordinator alive");
         id
-    }
-
-    fn submit_inner(
-        &self,
-        request: InferenceRequest,
-        progress: Option<Sender<StageProgress>>,
-    ) -> (RequestId, Receiver<InferenceResponse>) {
-        let (tx, rx) = unbounded();
-        let id = self.submit_with_channels(request, tx, progress);
-        (id, rx)
     }
 
     /// Live occupancy gauges (in-flight, queue depth); the handle stays
@@ -365,11 +293,12 @@ struct ActiveTask {
     /// When the current stage was handed to a worker; its elapsed time on
     /// completion feeds the stage cost model's moving average.
     dispatched_at: Option<Instant>,
+    /// Stages this task can run: the engine's count, cut to what already
+    /// ran once the session reports that it has no stage left.
     num_stages: usize,
-    respond: Sender<InferenceResponse>,
-    /// Private stage-progress feed for this request, if the submitter
-    /// asked for one.
-    progress: Option<Sender<StageProgress>>,
+    /// The submitter asked for a [`Reply::Stage`] per finished stage.
+    want_stages: bool,
+    sink: ReplySink,
 }
 
 impl ActiveTask {
@@ -391,7 +320,6 @@ fn coordinator_loop(
     submit_rx: Receiver<Submission>,
     ledger: UsageLedger,
     stats: RuntimeStats,
-    waker: WakerCell,
 ) {
     let pool = WorkerPool::new(config.num_workers);
     let (done_tx, done_rx) = unbounded::<JobDone>();
@@ -420,7 +348,7 @@ fn coordinator_loop(
         // 1. Accept new requests.
         loop {
             match submit_rx.try_recv() {
-                Ok((id, request, respond, progress)) => {
+                Ok((id, request, want_stages, sink)) => {
                     let session = engine.begin(&request.payload);
                     let now = Instant::now();
                     let deadline = now + request.class.deadline();
@@ -440,8 +368,8 @@ fn coordinator_loop(
                             running_stage: None,
                             dispatched_at: None,
                             num_stages: engine.num_stages(),
-                            respond,
-                            progress,
+                            want_stages,
+                            sink,
                         },
                     );
                 }
@@ -457,7 +385,9 @@ fn coordinator_loop(
         // check, so a request that completed right at its deadline is
         // observed as complete rather than killed. A stage that panicked
         // inside the engine marks its task so it finalizes with whatever
-        // it had, rather than deadlocking the runtime.
+        // it had, rather than deadlocking the runtime. A session that
+        // reports no stage without panicking has none left to run: its
+        // work is done with what it has.
         while let Ok(entries) = done_rx.try_recv() {
             busy_jobs -= 1;
             for (id, session, report, panicked) in entries {
@@ -477,6 +407,8 @@ fn coordinator_loop(
                         }
                         task.observed.push(report.confidence);
                         task.last = Some(report);
+                    } else if !panicked {
+                        task.num_stages = task.observed.len();
                     }
                     task.dispatched_at = None;
                     if panicked {
@@ -570,12 +502,6 @@ fn coordinator_loop(
             })
             .map(|(&id, _)| id)
             .collect();
-        // One nudge covers the whole finalize batch: wakers coalesce.
-        let nudge = if finished.is_empty() {
-            None
-        } else {
-            current_waker(&waker)
-        };
         for id in finished {
             let task = tasks.remove(&id).expect("task present");
             // Degrade mode turns a deadline kill into an early exit
@@ -623,14 +549,10 @@ fn coordinator_loop(
                 degraded,
                 latency: task.started.elapsed(),
             };
-            // Completion is recorded before the send so a submitter that
+            // Completion is recorded before the reply so a submitter that
             // has received every response observes a consistent gauge.
             stats.note_completed();
-            // The submitter may have dropped its receiver; that is fine.
-            let _ = task.respond.send(response);
-        }
-        if let Some(nudge) = nudge {
-            nudge();
+            (task.sink)(Reply::Final(response));
         }
 
         // 5. Schedule parked tasks onto free workers through the gather
@@ -705,7 +627,8 @@ fn coordinator_loop(
                 task.running_stage = Some(task.observed.len());
                 task.dispatched_at = Some(now);
                 stats.note_gather_wait(wait);
-                batch.push((id, session, task.progress.clone()));
+                let stage_sink = task.want_stages.then(|| Arc::clone(&task.sink));
+                batch.push((id, session, stage_sink));
             }
             if batch.is_empty() {
                 continue;
@@ -714,13 +637,7 @@ fn coordinator_loop(
             busy_jobs += 1;
             running_tasks += batch.len();
             free -= 1;
-            dispatch(
-                &pool,
-                Arc::clone(&engine),
-                batch,
-                &done_tx,
-                Arc::clone(&waker),
-            );
+            dispatch(&pool, Arc::clone(&engine), batch, &done_tx);
         }
 
         // 6. Publish occupancy, exit when drained, otherwise pace the loop.
@@ -909,23 +826,24 @@ fn potential_joiners(tasks: &HashMap<RequestId, ActiveTask>, stage: usize) -> us
 
 /// Executes one gathered batch (one to `max_batch` members) on the pool
 /// via the engine's [`InferenceEngine::next_stage_batch`], scattering
-/// per-session reports back as individual stage outcomes.
+/// per-session reports back as individual stage outcomes. A member's
+/// stage reply goes to its sink before the outcome is posted, so it
+/// always precedes the final reply the coordinator sends after.
 fn dispatch(
     pool: &WorkerPool,
     engine: Arc<dyn InferenceEngine>,
     batch: Vec<BatchMember>,
     done_tx: &Sender<JobDone>,
-    waker: WakerCell,
 ) {
     let done_tx = done_tx.clone();
     pool.execute(move || {
         let mut ids = Vec::with_capacity(batch.len());
         let mut sessions: Vec<Box<dyn EngineSession>> = Vec::with_capacity(batch.len());
-        let mut privates = Vec::with_capacity(batch.len());
-        for (id, session, private) in batch {
+        let mut sinks = Vec::with_capacity(batch.len());
+        for (id, session, sink) in batch {
             ids.push(id);
             sessions.push(session);
-            privates.push(private);
+            sinks.push(sink);
         }
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             engine.next_stage_batch(&mut sessions)
@@ -935,32 +853,22 @@ fn dispatch(
                 // A misbehaving override must never lose sessions: pad or
                 // truncate its report list to the batch size.
                 reports.resize(sessions.len(), None);
-                let mut nudge_needed = false;
-                let entries: JobDone = ids
-                    .into_iter()
+                ids.into_iter()
                     .zip(sessions)
                     .zip(reports)
-                    .zip(privates)
-                    .map(|(((id, session), report), private_tx)| {
-                        if let (Some(r), Some(private_tx)) = (report, private_tx) {
-                            let _ = private_tx.send(StageProgress {
+                    .zip(sinks)
+                    .map(|(((id, session), report), sink)| {
+                        if let (Some(r), Some(sink)) = (report, sink) {
+                            sink(Reply::Stage(StageProgress {
                                 request_id: id,
                                 stage: session.stages_done().saturating_sub(1),
                                 confidence: r.confidence,
                                 predicted: r.predicted,
-                            });
-                            nudge_needed = true;
+                            }));
                         }
                         (id, session, report, false)
                     })
-                    .collect();
-                // One nudge covers every private send in the batch.
-                if nudge_needed {
-                    if let Some(nudge) = current_waker(&waker) {
-                        nudge();
-                    }
-                }
-                entries
+                    .collect()
             }
             // A panic inside a batched stage poisons the whole batch:
             // every member finalizes as killed with whatever it already
@@ -1120,43 +1028,6 @@ mod tests {
     }
 
     #[test]
-    fn routed_submissions_share_one_funnel_channel() {
-        let rt = runtime(vec![0.5, 0.9], 1, RuntimeConfig::default());
-        let (respond_tx, respond_rx) = unbounded();
-        let (progress_tx, progress_rx) = unbounded();
-        let mut ids = Vec::new();
-        for i in 0..6 {
-            let progress = (i % 2 == 0).then(|| progress_tx.clone());
-            ids.push(rt.submit_with_channels(
-                InferenceRequest::new(vec![i as f32], class(10_000)),
-                respond_tx.clone(),
-                progress,
-            ));
-        }
-        drop(respond_tx);
-        drop(progress_tx);
-        let mut answered = std::collections::HashMap::new();
-        for _ in 0..6 {
-            let response = respond_rx.recv_timeout(Duration::from_secs(10)).unwrap();
-            answered.insert(response.id, response);
-        }
-        for (i, id) in ids.iter().enumerate() {
-            let response = answered.get(id).expect("every id answered exactly once");
-            assert_eq!(response.predicted, Some(i));
-            assert_eq!(response.stages_executed, 2);
-        }
-        // Only the even submissions asked for progress: 3 requests x 2
-        // stages, every event tagged with a requesting id.
-        let events: Vec<_> = progress_rx.iter().collect();
-        assert_eq!(events.len(), 6);
-        for event in events {
-            assert!(ids.contains(&event.request_id));
-            assert_eq!(event.request_id % 2, ids[0] % 2, "only even submitters");
-        }
-        rt.shutdown();
-    }
-
-    #[test]
     fn fused_batches_form_under_load_and_answer_correctly() {
         let config = RuntimeConfig {
             num_workers: 1,
@@ -1210,67 +1081,66 @@ mod tests {
         rt.shutdown();
     }
 
+    /// One sink shared by every request, fused batches, and a mix of
+    /// requests that want stages and requests that do not: each request
+    /// that asked gets `Stage` replies for stages 0..k in order, then one
+    /// `Final` for k stages; the others get only their `Final`.
     #[test]
-    fn batched_mode_streams_progress_and_accounts_usage() {
+    fn each_request_gets_its_stages_in_order_then_one_final() {
         let config = RuntimeConfig {
             num_workers: 1,
             max_batch: 4,
             gather_window: Duration::from_millis(5),
             ..RuntimeConfig::default()
         };
-        let rt = runtime(vec![0.4, 0.9], 5, config);
-        let (id, response_rx, progress_rx) =
-            rt.submit_with_progress(InferenceRequest::new(vec![3.0], class(30_000)));
-        let mut others = Vec::new();
-        for i in 0..5 {
-            others.push(rt.submit(InferenceRequest::new(vec![i as f32], class(30_000))));
-        }
-        let response = response_rx.recv_timeout(Duration::from_secs(30)).unwrap();
-        assert_eq!(response.stages_executed, 2);
-        for (_, rx) in others {
-            rx.recv_timeout(Duration::from_secs(30)).unwrap();
-        }
-        let events: Vec<_> = progress_rx.iter().collect();
-        assert_eq!(events.len(), 2, "private progress survives fusion");
-        for (stage, event) in events.iter().enumerate() {
-            assert_eq!(event.request_id, id);
-            assert_eq!(event.stage, stage);
-        }
-        assert_eq!(rt.usage_ledger().total_stages(), 12);
+        let rt = runtime(vec![0.4, 0.6, 0.9], 5, config);
+        let (tx, rx) = unbounded();
+        let sink: ReplySink = Arc::new(move |reply| {
+            let _ = tx.send(reply);
+        });
+        let submitted: Vec<(RequestId, bool)> = (0..8)
+            .map(|i| {
+                let want_stages = i % 3 != 0;
+                let request = InferenceRequest::new(vec![i as f32], class(30_000));
+                (
+                    rt.submit_to(request, want_stages, Arc::clone(&sink)),
+                    want_stages,
+                )
+            })
+            .collect();
+        drop(sink);
+        let stats = rt.stats();
+        let ledger = rt.usage_ledger().clone();
+        // Shutdown drains every request and drops every sink, so the
+        // channel then holds every reply the runtime will ever send.
         rt.shutdown();
-    }
-
-    #[test]
-    fn completion_waker_fires_for_responses_and_private_progress() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let rt = runtime(vec![0.4, 0.9], 1, RuntimeConfig::default());
-        let nudges = Arc::new(AtomicUsize::new(0));
-        {
-            let nudges = Arc::clone(&nudges);
-            rt.set_completion_waker(Arc::new(move || {
-                nudges.fetch_add(1, Ordering::SeqCst);
-            }));
+        let mut replies: HashMap<RequestId, Vec<Reply>> = HashMap::new();
+        for reply in rx.iter() {
+            let id = match &reply {
+                Reply::Stage(stage) => stage.request_id,
+                Reply::Final(response) => response.id,
+            };
+            replies.entry(id).or_default().push(reply);
         }
-        let (_, response_rx, progress_rx) =
-            rt.submit_with_progress(InferenceRequest::new(vec![1.0], class(10_000)));
-        response_rx.recv_timeout(Duration::from_secs(10)).unwrap();
-        // Two stages streamed privately + one finalize: at least one
-        // nudge per delivery point (coalescing across a batch is fine,
-        // but a response and its stage events are distinct deliveries).
-        // The finalize nudge deliberately fires *after* the response send
-        // (nudge-before-send would be a lost wakeup for a parked poller),
-        // so it may still be in flight when the response arrives here.
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while nudges.load(Ordering::SeqCst) < 3 && Instant::now() < deadline {
-            std::thread::yield_now();
+        assert_eq!(replies.len(), submitted.len(), "no reply for unknown ids");
+        for (id, want_stages) in submitted {
+            let replies = &replies[&id];
+            let (last, stages) = replies.split_last().expect("answered");
+            let Reply::Final(response) = last else {
+                panic!("request {id}: the last reply must be its Final");
+            };
+            assert_eq!(response.stages_executed, 3);
+            let expected = if want_stages { 3 } else { 0 };
+            assert_eq!(stages.len(), expected, "request {id}: stage replies");
+            for (k, reply) in stages.iter().enumerate() {
+                let Reply::Stage(stage) = reply else {
+                    panic!("request {id}: a second Final");
+                };
+                assert_eq!(stage.stage, k, "request {id}: stages in order");
+            }
         }
-        assert!(
-            nudges.load(Ordering::SeqCst) >= 3,
-            "expected nudges for 2 private stage events + 1 response, saw {}",
-            nudges.load(Ordering::SeqCst)
-        );
-        assert_eq!(progress_rx.try_iter().count(), 2);
-        rt.shutdown();
+        assert!(stats.fused_batches() > 0, "stage replies survive fusion");
+        assert_eq!(ledger.total_stages(), 24);
     }
 
     #[test]
@@ -1299,27 +1169,6 @@ mod tests {
         rt.shutdown();
         assert_eq!(stats.running(), 0);
         assert_eq!(stats.queued(), 0);
-    }
-
-    #[test]
-    fn submit_with_progress_streams_private_stage_reports() {
-        let rt = runtime(vec![0.4, 0.6, 0.9], 1, RuntimeConfig::default());
-        // A second plain request ensures the private feed is not a
-        // broadcast: its stages must not appear on the first's channel.
-        let (_, other_rx) = rt.submit(InferenceRequest::new(vec![7.0], class(10_000)));
-        let (id, response_rx, progress_rx) =
-            rt.submit_with_progress(InferenceRequest::new(vec![1.0], class(10_000)));
-        let response = response_rx.recv_timeout(Duration::from_secs(10)).unwrap();
-        other_rx.recv_timeout(Duration::from_secs(10)).unwrap();
-        assert_eq!(response.stages_executed, 3);
-        let events: Vec<_> = progress_rx.iter().collect();
-        assert_eq!(events.len(), 3, "one event per stage, channel then closes");
-        for (stage, event) in events.iter().enumerate() {
-            assert_eq!(event.request_id, id);
-            assert_eq!(event.stage, stage);
-        }
-        assert_eq!(events[2].confidence, 0.9);
-        rt.shutdown();
     }
 
     #[test]
@@ -1422,7 +1271,6 @@ mod tests {
     }
 
     fn task_at_stage(observed: &[f32], last_conf: Option<f32>) -> ActiveTask {
-        let (tx, _rx) = unbounded();
         let now = Instant::now();
         ActiveTask {
             class_name: "test".to_owned(),
@@ -1441,8 +1289,8 @@ mod tests {
             running_stage: None,
             dispatched_at: None,
             num_stages: 3,
-            respond: tx,
-            progress: None,
+            want_stages: false,
+            sink: Arc::new(|_| {}),
         }
     }
 

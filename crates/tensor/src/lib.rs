@@ -34,7 +34,7 @@ pub use alloc::{is_panel_aligned, AlignedVec, PANEL_ALIGN};
 pub use error::ShapeError;
 pub use matrix::Matrix;
 pub use pool::{parallelism, set_parallelism};
-pub use precision::Precision;
+pub use precision::{PlanCacheStats, Precision};
 pub use quant::{
     qgemm, quant_tier_name, quantize_symmetric, row_scales, symmetric_scale, QuantizedRhs,
 };

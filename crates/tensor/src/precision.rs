@@ -1,4 +1,5 @@
-//! Numeric precision tags for kernel and stage execution.
+//! Numeric precision tags for kernel and stage execution, and the
+//! counters of the compiled-plan cache that keys stage plans by them.
 
 /// The numeric precision a computation (a layer, a network stage, a
 /// kernel call) executes in.
@@ -44,6 +45,23 @@ impl std::fmt::Display for Precision {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
     }
+}
+
+/// Point-in-time counters of a compiled-plan cache: `eugene-nn`'s
+/// `PlanCache` produces them, and the serving runtime surfaces them
+/// through `InferenceEngine::plan_cache_stats` for observability.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlanCacheStats {
+    /// Lookups served by an already-compiled, current-generation plan.
+    pub hits: u64,
+    /// Lookups that compiled a new plan.
+    pub misses: u64,
+    /// Generation bumps (each drops every cached plan).
+    pub invalidations: u64,
+    /// Plans currently cached.
+    pub entries: usize,
+    /// Current generation tag.
+    pub generation: u64,
 }
 
 #[cfg(test)]

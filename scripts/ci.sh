@@ -39,23 +39,26 @@ cargo test --workspace -q --offline
 # `EUGENE_SIMD=0` passes run for real, because they run the suites on
 # the scalar tier, which the workspace run does not cover.
 #
-# Leak/multiplexing regressions: >=64 interleaved in-flight tags on one
-# connection, the event loop's connection lifecycle (churn drains closed
-# sockets, an idle crowd on one thread), the event-driven latency bounds
+# The event loop's connection lifecycle (churn drains closed sockets, an
+# idle crowd on one thread), the event-driven latency bounds
 # (no accept sleep, no forwarding tick), the router fault suite (keys
 # land where the ring routes, pings answered locally, revive ordering,
 # old connections reach a revived shard, zero-error loadgen through a
-# kill, live add/remove under load), the registry lifecycle suite (load/unload
-# with requests in flight), the per-tenant admission suite (hard caps,
-# weighted fair shedding), and the overload degradation suite (2x
+# kill, live add/remove under load), the per-tenant admission suite (hard
+# caps, weighted fair shedding), and the overload degradation suite (2x
 # saturation in Degrade mode: zero rejects after admission, every Final
 # carries >=1 stage, utility beats the kill baseline). The gateway's own
 # contract (hard cap under a pipelined burst, drain on shutdown, read
 # backpressure, shutdown past a client that never reads) runs in the
 # root crate's tier-1
-# `tests/gateway_contract.rs`, the client's (stale frames counted and
-# dropped, a lapsed deadline abandons the request but keeps the
-# connection, retry bounded by the budget) in
+# `tests/gateway_contract.rs`, multiplexing (96 interleaved tags with
+# stage streams on one connection, every update ahead of its Final; 10k
+# requests on one connection and one thread) in `tests/multiplex.rs`,
+# the registry lifecycle (load/unload with requests in flight, a model
+# loaded into a running gateway serves) in `tests/registry_lifecycle.rs`,
+# the client's (stale frames counted and dropped, a lapsed deadline
+# abandons the request but keeps the connection, retry bounded by the
+# budget) in
 # `tests/client_contract.rs`, the shard router's (a kill mid-flight is
 # invisible, exactly-once answers across 100x kill/revive races, no
 # shard left answers ShardLost, shutdown returns with a stalled or
@@ -66,13 +69,14 @@ cargo test --workspace -q --offline
 # (bounded remap, exact restore, restart determinism, replica
 # placement, scale-out successors) in `tests/ring_properties.rs`, and
 # the runtime's deadline contract in `tests/runtime_contract.rs`.
-echo "==> cargo test -p eugene-net --no-run --test multiplex --test readiness --test latency --test replica_faults --test registry_lifecycle --test tenants --test overload"
+echo "==> cargo test -p eugene-net --no-run --test readiness --test latency --test replica_faults --test tenants --test overload"
 cargo test -p eugene-net -q --offline --no-run \
-  --test multiplex --test readiness --test latency \
-  --test replica_faults --test registry_lifecycle \
+  --test readiness --test latency --test replica_faults \
   --test tenants --test overload
-echo "==> cargo test -p eugene --no-run --test gateway_contract --test router_contract --test router_threads --test ring_properties"
-cargo test -p eugene -q --offline --no-run --test gateway_contract --test router_contract --test router_threads --test ring_properties
+echo "==> cargo test -p eugene --no-run --test gateway_contract --test multiplex --test registry_lifecycle --test router_contract --test router_threads --test ring_properties"
+cargo test -p eugene -q --offline --no-run \
+  --test gateway_contract --test multiplex --test registry_lifecycle \
+  --test router_contract --test router_threads --test ring_properties
 
 # Kernel regressions: the blocked/parallel matmul paths must stay
 # bitwise-equal to the naive references at every parallelism setting

@@ -1,14 +1,15 @@
 //! Multiplexing tests: many concurrent tagged requests over a single TCP
-//! connection, demuxed correctly under interleaving and reordering. (The
-//! hard-cap and shutdown-drain contracts live in the root crate's
-//! `tests/gateway_contract.rs`.)
+//! connection, demuxed correctly under interleaving and reordering, with
+//! every stage update of a tag ahead of its `Final`. (The hard-cap and
+//! shutdown-drain contracts live in `tests/gateway_contract.rs`.)
 
+#[path = "../crates/net/tests/common/mod.rs"]
 mod common;
 
 use common::start_gateway;
-use eugene_net::wire::{self, Frame, FrameBuffer, WireResponse, PROTOCOL_VERSION};
-use eugene_net::{ClientConfig, GatewayConfig, MultiplexClient};
-use eugene_serve::RuntimeConfig;
+use eugene::net::wire::{self, Frame, FrameBuffer, WireResponse, PROTOCOL_VERSION};
+use eugene::net::{ClientConfig, GatewayConfig, MultiplexClient};
+use eugene::serve::RuntimeConfig;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use std::net::TcpListener;

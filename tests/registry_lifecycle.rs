@@ -2,13 +2,14 @@
 //! with requests in flight — and the unloaded generation's counters
 //! survive in the gateway snapshot.
 
+#[path = "../crates/net/tests/common/mod.rs"]
 mod common;
 
 use common::shard_runtime;
-use eugene_net::{
+use eugene::net::{
     ClientConfig, ClientError, Gateway, GatewayConfig, MultiplexClient, RejectReason, SubmitOptions,
 };
-use eugene_serve::{ModelRegistry, RuntimeConfig};
+use eugene::serve::{ModelRegistry, RuntimeConfig};
 use std::time::{Duration, Instant};
 
 fn fast_runtime() -> RuntimeConfig {

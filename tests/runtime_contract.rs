@@ -8,10 +8,15 @@
 mod common;
 
 use common::shard_runtime;
+use eugene::nn::{StagedNetwork, StagedNetworkConfig};
+use eugene::sched::Fifo;
 use eugene::serve::{
     InferenceRequest, InferenceResponse, OverloadPolicy, RuntimeConfig, ServiceClass,
     ServingRuntime,
 };
+use eugene::service::StagedNetworkEngine;
+use eugene::tensor::seeded_rng;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn runtime(ramp: Vec<f32>, stage_ms: u64, config: RuntimeConfig) -> ServingRuntime {
@@ -222,5 +227,38 @@ fn degrade_mode_with_zero_stages_still_expires() {
     assert_eq!(response_b.stages_executed, 0);
     let response_a = rx_a.recv_timeout(Duration::from_secs(10)).unwrap();
     assert!(!response_a.expired);
+    rt.shutdown();
+}
+
+/// The staged-network engine answers a payload of the wrong width with a
+/// session that has no stage to run. That request's work is done at its
+/// first dispatch: it is answered then with what it has (nothing, not
+/// expired), not dispatched again on every pass until its deadline.
+#[test]
+fn a_session_with_no_stage_is_answered_at_once_not_at_its_deadline() {
+    let config = StagedNetworkConfig {
+        input_dim: 4,
+        num_classes: 3,
+        stage_widths: vec![vec![8], vec![8]],
+        dropout: 0.0,
+        input_skip: false,
+    };
+    let network = StagedNetwork::new(&config, &mut seeded_rng(0));
+    let engine = Arc::new(StagedNetworkEngine::new(Arc::new(network)));
+    let rt = ServingRuntime::start(
+        engine,
+        Box::new(Fifo::new()),
+        RuntimeConfig {
+            num_workers: 2,
+            ..RuntimeConfig::default()
+        },
+    );
+    let (_, rx) = rt.submit(InferenceRequest::new(vec![1.0, 2.0], class(2_000)));
+    let response = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+    assert!(!response.expired, "answered before its deadline");
+    assert_eq!(response.stages_executed, 0);
+    assert_eq!(response.predicted, None);
+    let dispatches = rt.stats().singleton_dispatches();
+    assert!(dispatches <= 1, "dispatched {dispatches} times");
     rt.shutdown();
 }
