@@ -4,7 +4,7 @@
 //! event loop (`crate::readiness`) that owns every connection socket:
 //! it accepts, handshakes, admits pipelined submits for arbitrarily many
 //! concurrent client tags per connection, and demultiplexes the
-//! runtime's responses and stage progress back into
+//! runtime's stage and final replies back into
 //! [`Frame::StageUpdate`]/[`Frame::Final`] frames. The gateway is that
 //! loop with one shard slot (a [`crate::shard::ShardRouter`] is the same
 //! loop with many). It costs one thread however many connections it

@@ -316,8 +316,8 @@ impl ModelRegistry {
 mod tests {
     use super::*;
     use crate::engine::testing::RampEngine;
-    use crate::{InferenceResponse, Reply, RuntimeConfig, ServiceClass};
-    use crossbeam::channel::{unbounded, Receiver};
+    use crate::runtime::final_answers;
+    use crate::{RuntimeConfig, ServiceClass};
     use eugene_sched::Fifo;
     use std::time::Duration;
 
@@ -336,17 +336,6 @@ mod tests {
         )
     }
 
-    /// A sink that forwards final answers to the returned channel.
-    fn answers() -> (ReplySink, Receiver<InferenceResponse>) {
-        let (tx, rx) = unbounded();
-        let sink: ReplySink = Arc::new(move |reply| {
-            if let Reply::Final(response) = reply {
-                let _ = tx.send(response);
-            }
-        });
-        (sink, rx)
-    }
-
     fn request(payload: f32) -> InferenceRequest {
         InferenceRequest::new(
             vec![payload],
@@ -360,7 +349,7 @@ mod tests {
         registry.load("full", runtime(vec![0.5, 0.7, 0.9], 1, 1.0));
         registry.load("compressed", runtime(vec![0.95], 1, 0.9));
 
-        let (sink, rx) = answers();
+        let (sink, rx) = final_answers();
         registry
             .submit_to(Some("compressed"), request(3.0), false, Arc::clone(&sink))
             .expect("compressed is loaded");
@@ -381,7 +370,7 @@ mod tests {
     #[test]
     fn unknown_model_is_a_clean_error() {
         let registry = ModelRegistry::new(DEFAULT_MODEL);
-        let (sink, _rx) = answers();
+        let (sink, _rx) = final_answers();
         let err = registry
             .submit_to(Some("nope"), request(0.0), false, sink)
             .unwrap_err();
@@ -393,7 +382,7 @@ mod tests {
     fn unload_drains_in_flight_and_rejects_new_submissions() {
         let registry = ModelRegistry::new(DEFAULT_MODEL);
         registry.load(DEFAULT_MODEL, runtime(vec![0.5, 0.9], 20, 1.0));
-        let (sink, rx) = answers();
+        let (sink, rx) = final_answers();
         let mut ids = Vec::new();
         for i in 0..4 {
             let (id, _) = registry
@@ -421,7 +410,7 @@ mod tests {
     fn reload_bumps_version_and_keeps_cumulative_stats() {
         let registry = ModelRegistry::new(DEFAULT_MODEL);
         let v1 = registry.load(DEFAULT_MODEL, runtime(vec![0.9], 1, 1.0));
-        let (sink, rx) = answers();
+        let (sink, rx) = final_answers();
         registry
             .submit_to(None, request(1.0), false, Arc::clone(&sink))
             .expect("loaded");
@@ -456,7 +445,7 @@ mod tests {
             .to_owned()
         }));
 
-        let (sink, rx) = answers();
+        let (sink, rx) = final_answers();
         let (_, chosen) = registry
             .submit_to(None, request(0.5), false, Arc::clone(&sink))
             .unwrap();

@@ -199,12 +199,7 @@ impl ServingRuntime {
     ///
     /// Panics if called after [`ServingRuntime::shutdown`].
     pub fn submit(&self, request: InferenceRequest) -> (RequestId, Receiver<InferenceResponse>) {
-        let (tx, rx) = unbounded();
-        let sink: ReplySink = Arc::new(move |reply| {
-            if let Reply::Final(response) = reply {
-                let _ = tx.send(response);
-            }
-        });
+        let (sink, rx) = final_answers();
         (self.submit_to(request, false, sink), rx)
     }
 
@@ -267,6 +262,18 @@ impl Drop for ServingRuntime {
     }
 }
 
+/// A sink that forwards each final answer to the returned channel and
+/// ignores stage replies.
+pub(crate) fn final_answers() -> (ReplySink, Receiver<InferenceResponse>) {
+    let (tx, rx) = unbounded();
+    let sink: ReplySink = Arc::new(move |reply| {
+        if let Reply::Final(response) = reply {
+            let _ = tx.send(response);
+        }
+    });
+    (sink, rx)
+}
+
 struct ActiveTask {
     /// Service class name, for usage accounting.
     class_name: String,
@@ -298,6 +305,7 @@ struct ActiveTask {
     num_stages: usize,
     /// The submitter asked for a [`Reply::Stage`] per finished stage.
     want_stages: bool,
+    /// Where this request's replies go.
     sink: ReplySink,
 }
 
