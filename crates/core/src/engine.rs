@@ -1,3 +1,4 @@
+use eugene_nn::compile::stage_graph;
 use eugene_nn::StagedNetwork;
 use eugene_serve::{EngineSession, InferenceEngine, StageReport};
 use eugene_tensor::{argmax, softmax, Matrix};
@@ -35,8 +36,22 @@ pub struct StagedNetworkEngine {
 }
 
 impl StagedNetworkEngine {
-    /// Wraps a shared network.
+    /// Wraps a shared network. Every stage is served by a compiled
+    /// plan, so this checks once that each stage lowers; that check
+    /// builds no weight pack.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`eugene_nn::CompileError`] if a stage does not
+    /// lower (a layer the op IR cannot express, or widths that do not
+    /// chain). Networks built from a config, a snapshot or by pruning
+    /// always lower; only one assembled by hand can fail.
     pub fn new(network: Arc<StagedNetwork>) -> Self {
+        for stage in 0..network.num_stages() {
+            if let Err(e) = stage_graph(&network, stage) {
+                panic!("network cannot be served: {e}");
+            }
+        }
         Self { network }
     }
 
@@ -133,34 +148,19 @@ impl InferenceEngine for StagedNetworkEngine {
 /// `(hidden, logits)`. Every serving dispatch — a fused micro-batch or
 /// a batch of one — runs the compiled, cached stage plan for its row
 /// count: fused GEMM epilogues, the layers' shared pre-packed panels,
-/// pooled intermediates, so no weight is packed at request time.
-/// `plan_parity` holds plans bitwise-equal to the layer walk at every
-/// row count, which keeps the walk below only for stages holding a
-/// layer the op IR cannot express; there the blocked kernels still
-/// accumulate each output row in a fixed k-order independent of the
-/// row count.
+/// pooled intermediates, so no weight is packed at request time. This
+/// is the only way a served stage runs; `plan_parity` holds plans
+/// bitwise-equal to the layer walk (`classify`) at every row count.
 fn run_stage(
     network: &StagedNetwork,
     stage: usize,
     hidden: &Matrix,
     raw: &Matrix,
 ) -> (Matrix, Matrix) {
-    match network.stage_plan(stage, hidden.rows()) {
-        Ok(plan) => plan.execute(network, hidden, raw),
-        Err(_) => {
-            use eugene_nn::Layer;
-            // Mirror the trunk's shortcut wiring: stages after the
-            // first see [previous output | raw input].
-            let stage_in = if stage > 0 && network.input_skip() {
-                hidden.hconcat(raw)
-            } else {
-                hidden.clone()
-            };
-            let hidden = network.stages()[stage].infer(&stage_in);
-            let logits = network.heads()[stage].infer(&hidden);
-            (hidden, logits)
-        }
-    }
+    network
+        .stage_plan(stage, hidden.rows())
+        .expect("StagedNetworkEngine::new checked that every stage lowers")
+        .execute(network, hidden, raw)
 }
 
 /// Recovers the concrete session after the grouping pass has already
@@ -234,7 +234,7 @@ mod tests {
         for expected in direct {
             let got = session.next_stage().unwrap();
             assert_eq!(got.predicted, expected.predicted);
-            assert!((got.confidence - expected.confidence).abs() < 1e-6);
+            assert_eq!(got.confidence.to_bits(), expected.confidence.to_bits());
         }
         assert!(session.next_stage().is_none());
     }
@@ -323,65 +323,20 @@ mod tests {
             .all(Option::is_none));
     }
 
-    /// A layer the op IR has no lowering for: halves its input.
-    #[derive(Clone)]
-    struct Halve;
-
-    impl eugene_nn::Layer for Halve {
-        fn forward(&mut self, input: &Matrix) -> Matrix {
-            self.infer(input)
-        }
-        fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-            self.infer(grad_output)
-        }
-        fn infer(&self, input: &Matrix) -> Matrix {
-            input.map(|v| v * 0.5)
-        }
-        fn describe(&self) -> String {
-            "halve".into()
-        }
-        fn clone_box(&self) -> Box<dyn eugene_nn::Layer> {
-            Box::new(self.clone())
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
-    }
-
     #[test]
-    fn uncompilable_stage_falls_back_to_the_layer_walk() {
+    #[should_panic(expected = "has no op-graph lowering")]
+    fn a_network_with_a_stage_that_does_not_lower_is_refused() {
         use eugene_nn::{Linear, Sequential};
         let mut rng = seeded_rng(21);
+        // A block nested inside a block is a layer the op IR has no
+        // lowering for.
+        let mut inner = Sequential::new();
+        inner.push(Linear::new(4, 6, &mut rng));
         let mut block = Sequential::new();
-        block.push(Linear::new(4, 6, &mut rng));
-        block.push(Halve);
+        block.push(inner);
         let head = Linear::new(6, 3, &mut rng);
-        let network = Arc::new(StagedNetwork::from_parts(
-            vec![block],
-            vec![head],
-            4,
-            3,
-            false,
-        ));
-        assert!(network.stage_plan(0, 1).is_err(), "no lowering for Halve");
-        let engine = StagedNetworkEngine::new(Arc::clone(&network));
-        let payloads = [[0.3, -0.1, 0.7, 0.2], [0.9, 0.4, -0.6, 0.1]];
-
-        let mut batch: Vec<Box<dyn EngineSession>> =
-            payloads.iter().map(|p| engine.begin(p)).collect();
-        let fused = engine.next_stage_batch(&mut batch);
-        for (payload, fused) in payloads.iter().zip(fused) {
-            let want = &network.classify(payload)[0];
-            let solo = engine.begin(payload).next_stage().unwrap();
-            for got in [solo, fused.unwrap()] {
-                assert_eq!(got.predicted, want.predicted);
-                assert_eq!(got.confidence.to_bits(), want.confidence.to_bits());
-            }
-        }
-        assert_eq!(network.plan_cache().stats().entries, 0);
+        let network = StagedNetwork::from_parts(vec![block], vec![head], 4, 3, false);
+        StagedNetworkEngine::new(Arc::new(network));
     }
 
     #[test]
@@ -460,7 +415,8 @@ mod tests {
         for expected in direct {
             let got = session.next_stage().unwrap();
             assert_eq!(got.predicted, expected.predicted);
-            assert!((got.confidence - expected.confidence).abs() < 1e-6);
+            assert_eq!(got.confidence.to_bits(), expected.confidence.to_bits());
         }
+        assert!(session.next_stage().is_none());
     }
 }

@@ -1,8 +1,9 @@
-//! Plan-cache lifecycle at the serving layer: micro-batched engine
-//! dispatches compile each stage plan once and reuse it thereafter, a
-//! batch of one runs the `rows = 1` plans (bitwise the layer walk, on
-//! every tier and precision), the runtime surfaces the counters, and a
-//! model reload never serves a stale plan.
+//! Plan-cache lifecycle at the serving layer, where plans are the only
+//! way a stage runs: micro-batched engine dispatches compile each stage
+//! plan once and reuse it thereafter, a batch of one runs the `rows = 1`
+//! plans (bitwise the layer walk `classify`, the reference, on every
+//! tier and precision), the runtime surfaces the counters, and a model
+//! reload never serves a stale plan.
 
 use eugene_nn::{Linear, StagedNetwork, StagedNetworkConfig};
 use eugene_sched::Fifo;

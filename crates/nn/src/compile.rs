@@ -1,13 +1,18 @@
 //! Stage compiler: lowers a stage's [`OpGraph`] to a cached, fused,
 //! arena-backed kernel sequence ([`StagePlan`]).
 //!
+//! Plans are the only way a served stage runs: the serving engine
+//! refuses a network any stage of which does not lower. The layer walk
+//! ([`StagedNetwork::classify`], [`StagedNetwork::predict_all`]) stays
+//! only as the reference the plans are held bitwise equal to.
+//!
 //! # What compilation buys
 //!
-//! The layer-walk path re-plans every dispatch: it traverses the
-//! `Sequential` block, allocates a fresh intermediate per layer, packs
-//! the same weight panels again, and runs bias/relu as separate passes
-//! over memory the GEMM just wrote. A [`StagePlan`] does all of that
-//! once, at compile time:
+//! The layer walk re-plans every call: it traverses the `Sequential`
+//! block, allocates a fresh intermediate per layer, packs the same
+//! weight panels again, and runs bias/relu as separate passes over
+//! memory the GEMM just wrote. A [`StagePlan`] does all of that once,
+//! at compile time:
 //!
 //! - **Fusion** — single-consumer `MatMul → BiasAdd → Relu` chains
 //!   collapse into one `FusedGemm` step whose elementwise tail runs
@@ -53,9 +58,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Why a stage could not be compiled. The caller falls back to the
-/// layer-walk path — compilation is an optimization, never a
-/// correctness requirement.
+/// Why a stage could not be compiled. Serving refuses the network: a
+/// stage that does not lower has no way to run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CompileError {
     /// The stage index is out of range.
@@ -66,6 +70,16 @@ pub enum CompileError {
         stage: usize,
         layer: usize,
         describe: String,
+    },
+    /// A layer's width does not chain: a `Linear`'s or head's input is
+    /// not the width that reaches it, or a head's output is not
+    /// `num_classes` wide.
+    WidthMismatch {
+        at: LayerRef,
+        /// `"input"` or `"output"`.
+        side: &'static str,
+        expected: usize,
+        found: usize,
     },
 }
 
@@ -81,6 +95,18 @@ impl std::fmt::Display for CompileError {
                 f,
                 "stage {stage} layer {layer} ({describe}) has no op-graph lowering"
             ),
+            CompileError::WidthMismatch {
+                at,
+                side,
+                expected,
+                found,
+            } => {
+                match at {
+                    LayerRef::Trunk { stage, layer } => write!(f, "stage {stage} layer {layer}")?,
+                    LayerRef::Head { stage } => write!(f, "stage {stage} head")?,
+                }
+                write!(f, " {side} is {found} wide where {expected} is required")
+            }
         }
     }
 }
@@ -444,10 +470,31 @@ fn resolve_linear(network: &StagedNetwork, layer: LayerRef) -> &Linear {
     }
 }
 
+/// Errs with [`CompileError::WidthMismatch`] unless `found == expected`.
+fn check_width(
+    at: LayerRef,
+    side: &'static str,
+    expected: usize,
+    found: usize,
+) -> Result<(), CompileError> {
+    if found == expected {
+        Ok(())
+    } else {
+        Err(CompileError::WidthMismatch {
+            at,
+            side,
+            expected,
+            found,
+        })
+    }
+}
+
 /// Builds the op graph for one stage of `network`: the input-skip
 /// concat (when applicable), the trunk block lowered layer by layer
 /// (dropout elided — deterministic inference is the identity), and the
-/// classifier head, with `Hidden` and `Logits` outputs.
+/// classifier head, with `Hidden` and `Logits` outputs. Builds no
+/// weight pack, so it is also the cheap check that a stage lowers and
+/// that its widths chain.
 pub fn stage_graph(network: &StagedNetwork, stage: usize) -> Result<OpGraph, CompileError> {
     if stage >= network.num_stages() {
         return Err(CompileError::NoSuchStage(stage));
@@ -469,6 +516,7 @@ pub fn stage_graph(network: &StagedNetwork, stage: usize) -> Result<OpGraph, Com
         let any = layer.as_any();
         if let Some(lin) = any.downcast_ref::<Linear>() {
             let r = LayerRef::Trunk { stage, layer: i };
+            check_width(r, "input", cur_cols, lin.in_dim())?;
             cur_cols = lin.out_dim();
             cur = g.add(
                 Op::MatMul {
@@ -511,6 +559,9 @@ pub fn stage_graph(network: &StagedNetwork, stage: usize) -> Result<OpGraph, Com
     );
     let head = LayerRef::Head { stage };
     let classes = network.num_classes();
+    let head_layer = &network.heads()[stage];
+    check_width(head, "input", cur_cols, head_layer.in_dim())?;
+    check_width(head, "output", classes, head_layer.out_dim())?;
     let hm = g.add(
         Op::MatMul {
             input: cur,

@@ -12,12 +12,17 @@
 //!   (`L = CE + alpha * H`, Eq. 4) in [`loss`];
 //! - [`Sgd`] and [`Adam`] optimizers;
 //! - a [`Trainer`] driving mini-batch epochs, and evaluation helpers; and
-//! - an incremental [`InferenceSession`] that executes one stage at a time,
-//!   which is exactly the interface the RTDeepIoT scheduler drives.
+//! - the stage compiler ([`compile`]), which lowers each stage to a cached
+//!   [`StagePlan`].
+//!
+//! Plans are the only way a served stage runs: the serving engine runs
+//! one plan per stage it dispatches. The layer walk
+//! ([`StagedNetwork::classify`]) is only the reference the plans are held
+//! bitwise equal to.
 //!
 //! # Examples
 //!
-//! Train a tiny staged classifier and run one input stage by stage:
+//! Train a tiny staged classifier and classify one input at every stage:
 //!
 //! ```
 //! use eugene_nn::{StagedNetwork, StagedNetworkConfig, Trainer, TrainConfig};
@@ -39,9 +44,9 @@
 //! Trainer::new(TrainConfig { epochs: 3, ..TrainConfig::default() })
 //!     .fit(&mut net, &train, &mut rng);
 //!
-//! let mut session = net.begin_inference(train.sample(0));
-//! let out = session.next_stage().expect("stage 1 exists");
-//! assert!(out.confidence > 0.0 && out.confidence <= 1.0);
+//! let outputs = net.classify(train.sample(0));
+//! assert_eq!(outputs.len(), 3);
+//! assert!(outputs.iter().all(|o| o.confidence > 0.0 && o.confidence <= 1.0));
 //! ```
 
 mod activation;
@@ -68,7 +73,7 @@ pub use metrics::{accuracy, evaluate_staged, StageEval};
 pub use optimizer::{Adam, Optimizer, Sgd};
 pub use sequential::Sequential;
 pub use snapshot::{LayerSnapshot, NetworkSnapshot, SnapshotError};
-pub use staged::{InferenceSession, StageOutput, StagedNetwork, StagedNetworkConfig};
+pub use staged::{StageOutput, StagedNetwork, StagedNetworkConfig};
 pub use trainer::{TrainConfig, TrainReport, Trainer};
 
 // The kernel-parallelism knob, re-exported so training and serving code

@@ -7,6 +7,7 @@
 //! format: a plain-data description of a [`StagedNetwork`] that
 //! round-trips through any serde format.
 
+use crate::compile::stage_graph;
 use crate::{Activation, Dropout, Layer, Linear, Sequential, StagedNetwork};
 use eugene_tensor::Matrix;
 use serde::{Deserialize, Serialize};
@@ -120,25 +121,38 @@ impl StagedNetwork {
         }
     }
 
-    /// Restores a network from a snapshot.
+    /// Restores a network from a snapshot. A snapshot may have crossed
+    /// the network, so every shape is checked before any layer is
+    /// built, and the widths must chain by the rule serving compiles
+    /// with ([`crate::compile::stage_graph`]): a restored network
+    /// always serves.
     ///
     /// # Errors
     ///
     /// Returns [`SnapshotError`] if the snapshot is structurally invalid.
     pub fn from_snapshot(snapshot: &NetworkSnapshot) -> Result<Self, SnapshotError> {
+        let malformed = |reason: String| SnapshotError::MalformedStructure { reason };
+        if snapshot.input_dim == 0 {
+            return Err(malformed("input_dim is 0".to_owned()));
+        }
+        if snapshot.num_classes < 2 {
+            return Err(malformed(format!(
+                "{} classes, need at least 2",
+                snapshot.num_classes
+            )));
+        }
         if snapshot.stages.is_empty() {
-            return Err(SnapshotError::MalformedStructure {
-                reason: "no stages".to_owned(),
-            });
+            return Err(malformed("no stages".to_owned()));
         }
         if snapshot.stages.len() != snapshot.heads.len() {
-            return Err(SnapshotError::MalformedStructure {
-                reason: format!(
-                    "{} stages but {} heads",
-                    snapshot.stages.len(),
-                    snapshot.heads.len()
-                ),
-            });
+            return Err(malformed(format!(
+                "{} stages but {} heads",
+                snapshot.stages.len(),
+                snapshot.heads.len()
+            )));
+        }
+        for layer in snapshot.stages.iter().flatten().chain(&snapshot.heads) {
+            check_layer(layer).map_err(malformed)?;
         }
         let mut stages = Vec::with_capacity(snapshot.stages.len());
         for layers in &snapshot.stages {
@@ -157,14 +171,54 @@ impl StagedNetwork {
                 _ => return Err(SnapshotError::NonLinearHead { stage: s }),
             }
         }
-        Ok(StagedNetwork::from_parts(
+        let network = StagedNetwork::from_parts(
             stages,
             heads,
             snapshot.input_dim,
             snapshot.num_classes,
             snapshot.input_skip,
-        ))
+        );
+        for stage in 0..network.num_stages() {
+            stage_graph(&network, stage).map_err(|e| malformed(e.to_string()))?;
+        }
+        Ok(network)
     }
+}
+
+/// The checks that keep [`restore_layer`] from panicking: every matrix
+/// holds `rows × cols` values, a `Linear` is non-empty with a `1 × out`
+/// bias, and a dropout probability lies in `[0, 1)`.
+fn check_layer(layer: &LayerSnapshot) -> Result<(), String> {
+    match layer {
+        LayerSnapshot::Linear { weights, bias } => {
+            for (name, m) in [("weights", weights), ("bias", bias)] {
+                if m.rows().checked_mul(m.cols()) != Some(m.len()) {
+                    return Err(format!(
+                        "{name} claim {}x{} but hold {} values",
+                        m.rows(),
+                        m.cols(),
+                        m.len()
+                    ));
+                }
+            }
+            if weights.is_empty() {
+                return Err(format!("{}x{} weights", weights.rows(), weights.cols()));
+            }
+            if bias.shape() != (1, weights.cols()) {
+                return Err(format!(
+                    "bias is {}x{}, must be 1x{}",
+                    bias.rows(),
+                    bias.cols(),
+                    weights.cols()
+                ));
+            }
+        }
+        LayerSnapshot::Dropout { p, .. } if !(0.0..1.0).contains(p) => {
+            return Err(format!("drop probability {p} outside [0, 1)"));
+        }
+        _ => {}
+    }
+    Ok(())
 }
 
 fn snapshot_layer(layer: &dyn Layer) -> LayerSnapshot {
@@ -276,6 +330,48 @@ mod tests {
             StagedNetwork::from_snapshot(&bad_head),
             Err(SnapshotError::NonLinearHead { stage: 0 })
         ));
+    }
+
+    #[test]
+    fn snapshots_that_cannot_serve_are_refused_without_panicking() {
+        fn linear(weights: Matrix, bias: Matrix) -> LayerSnapshot {
+            LayerSnapshot::Linear { weights, bias }
+        }
+        /// Claims 8x8 but holds one value: only a deserialized matrix can.
+        fn short() -> Matrix {
+            serde_json::from_str(r#"{"rows":8,"cols":8,"data":[0.5]}"#).unwrap()
+        }
+        type Corrupt = fn(&mut NetworkSnapshot);
+        let cases: [(&str, Corrupt); 7] = [
+            ("bias not 1 x out", |s| {
+                s.stages[0][0] = linear(Matrix::zeros(6, 8), Matrix::zeros(1, 7))
+            }),
+            ("dropout p outside [0, 1)", |s| {
+                s.stages[0][2] = LayerSnapshot::Dropout { p: 1.5, seed: 0 }
+            }),
+            ("widths do not chain through the input skip", |s| {
+                // Stage 1 sees [8 | 6] = 14 columns, not 8.
+                s.stages[1][0] = linear(Matrix::zeros(8, 8), Matrix::zeros(1, 8))
+            }),
+            ("head output is not num_classes", |s| {
+                s.heads[1] = linear(Matrix::zeros(8, 3), Matrix::zeros(1, 3))
+            }),
+            ("matrix rows x cols != data length", |s| {
+                s.stages[1][3] = linear(short(), Matrix::zeros(1, 8))
+            }),
+            ("input_dim 0", |s| s.input_dim = 0),
+            ("one class", |s| s.num_classes = 1),
+        ];
+        for (what, corrupt) in cases {
+            let mut snapshot = network().to_snapshot();
+            corrupt(&mut snapshot);
+            let got = std::panic::catch_unwind(|| StagedNetwork::from_snapshot(&snapshot));
+            assert!(
+                matches!(got, Ok(Err(SnapshotError::MalformedStructure { .. }))),
+                "{what}: expected MalformedStructure, got {:?}",
+                got.map(|r| r.map(|_| "a network"))
+            );
+        }
     }
 
     #[test]

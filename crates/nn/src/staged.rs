@@ -79,9 +79,11 @@ impl StageOutput {
 /// This is the reproduction's analog of the paper's three-stage ResNet
 /// (Fig. 3): `stages[0..n]` form the trunk (optionally with input
 /// shortcuts), and `heads[s]` maps stage `s`'s activations to class
-/// logits. Training runs all heads jointly; serving runs stages one at a
-/// time through [`StagedNetwork::begin_inference`] so the scheduler can
-/// stop early.
+/// logits. Training runs all heads jointly. Serving runs one stage at a
+/// time, so the scheduler can stop early, and only through compiled
+/// [`StagePlan`]s ([`StagedNetwork::stage_plan`]). The layer walk
+/// ([`StagedNetwork::classify`], [`StagedNetwork::predict_all`]) is the
+/// reference those plans are held bitwise equal to.
 #[derive(Clone)]
 pub struct StagedNetwork {
     stages: Vec<Sequential>,
@@ -428,28 +430,14 @@ impl StagedNetwork {
         logits
     }
 
-    /// Runs every stage on a single sample, returning one [`StageOutput`]
-    /// per stage.
+    /// Runs every stage on a single sample through the layer walk,
+    /// returning one [`StageOutput`] per stage — the reference the
+    /// compiled serving plans are held bitwise equal to.
     ///
     /// # Panics
     ///
     /// Panics if `sample.len() != self.input_dim()`.
     pub fn classify(&self, sample: &[f32]) -> Vec<StageOutput> {
-        let mut session = self.begin_inference(sample);
-        let mut outputs = Vec::with_capacity(self.num_stages());
-        while let Some(out) = session.next_stage() {
-            outputs.push(out);
-        }
-        outputs
-    }
-
-    /// Starts an incremental, stage-at-a-time inference session over one
-    /// sample — the execution interface the RTDeepIoT scheduler drives.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sample.len() != self.input_dim()`.
-    pub fn begin_inference(&self, sample: &[f32]) -> InferenceSession<'_> {
         assert_eq!(
             sample.len(),
             self.input_dim,
@@ -457,13 +445,11 @@ impl StagedNetwork {
             sample.len(),
             self.input_dim
         );
-        InferenceSession {
-            network: self,
-            input: Matrix::row_vector(sample),
-            hidden: Matrix::row_vector(sample),
-            next_stage: 0,
-            last_output: None,
-        }
+        self.predict_all(&Matrix::row_vector(sample))
+            .iter()
+            .enumerate()
+            .map(|(s, logits)| StageOutput::from_logits(s, logits.row(0)))
+            .collect()
     }
 
     /// The compiled, cached execution plan for `stage` at a batch
@@ -476,9 +462,9 @@ impl StagedNetwork {
     ///
     /// # Errors
     ///
-    /// Returns [`CompileError`] when the stage does not exist or holds
-    /// a layer the op IR cannot express; callers fall back to the
-    /// layer-walk path.
+    /// Returns [`CompileError`] when the stage does not exist, holds a
+    /// layer the op IR cannot express, or has widths that do not chain;
+    /// serving refuses such a network.
     pub fn stage_plan(&self, stage: usize, rows: usize) -> Result<Arc<StagePlan>, CompileError> {
         let key = PlanKey {
             stage,
@@ -535,58 +521,6 @@ impl std::fmt::Debug for StagedNetwork {
             self.num_stages(),
             self.param_count()
         )
-    }
-}
-
-/// Incremental single-sample inference over a [`StagedNetwork`].
-///
-/// Each call to [`InferenceSession::next_stage`] executes exactly one stage
-/// plus its classifier head — the unit of work the paper's scheduler
-/// allocates — and reports the resulting `(prediction, confidence)`.
-#[derive(Debug)]
-pub struct InferenceSession<'a> {
-    network: &'a StagedNetwork,
-    input: Matrix,
-    hidden: Matrix,
-    next_stage: usize,
-    last_output: Option<StageOutput>,
-}
-
-impl InferenceSession<'_> {
-    /// Executes the next stage, or returns `None` when all stages have run.
-    pub fn next_stage(&mut self) -> Option<StageOutput> {
-        if self.next_stage >= self.network.num_stages() {
-            return None;
-        }
-        let s = self.next_stage;
-        let stage_in = self.network.stage_input(s, &self.hidden, &self.input);
-        self.hidden = self.network.stages[s].infer(&stage_in);
-        let logits = self.network.heads[s].infer(&self.hidden);
-        let out = StageOutput::from_logits(s, logits.row(0));
-        self.next_stage += 1;
-        self.last_output = Some(out.clone());
-        Some(out)
-    }
-
-    /// Index of the stage that [`InferenceSession::next_stage`] would run
-    /// next.
-    pub fn stages_completed(&self) -> usize {
-        self.next_stage
-    }
-
-    /// Number of stages not yet executed.
-    pub fn stages_remaining(&self) -> usize {
-        self.network.num_stages() - self.next_stage
-    }
-
-    /// Whether every stage has been executed.
-    pub fn is_finished(&self) -> bool {
-        self.stages_remaining() == 0
-    }
-
-    /// The most recent stage output, if any stage has run.
-    pub fn last_output(&self) -> Option<&StageOutput> {
-        self.last_output.as_ref()
     }
 }
 
@@ -666,34 +600,27 @@ mod tests {
     }
 
     #[test]
-    fn session_runs_each_stage_once() {
+    fn classify_runs_each_stage_once() {
         for config in [tiny_config(), skip_config()] {
             let net = StagedNetwork::new(&config, &mut seeded_rng(3));
-            let mut session = net.begin_inference(&[0.1, 0.2, 0.3, 0.4]);
-            assert_eq!(session.stages_remaining(), 3);
-            let o1 = session.next_stage().unwrap();
-            assert_eq!(o1.stage, 0);
-            let o2 = session.next_stage().unwrap();
-            assert_eq!(o2.stage, 1);
-            let o3 = session.next_stage().unwrap();
-            assert_eq!(o3.stage, 2);
-            assert!(session.is_finished());
-            assert!(session.next_stage().is_none());
-            assert_eq!(session.last_output().unwrap().stage, 2);
+            let outputs = net.classify(&[0.1, 0.2, 0.3, 0.4]);
+            let stages: Vec<usize> = outputs.iter().map(|o| o.stage).collect();
+            assert_eq!(stages, vec![0, 1, 2]);
         }
     }
 
     #[test]
-    fn session_agrees_with_batch_prediction() {
+    fn classify_agrees_with_batch_prediction() {
         for config in [tiny_config(), skip_config()] {
             let net = StagedNetwork::new(&config, &mut seeded_rng(4));
-            let sample = [0.5, -0.5, 0.25, 1.0];
-            let outputs = net.classify(&sample);
-            let batch_logits = net.predict_all(&Matrix::row_vector(&sample));
-            for (s, out) in outputs.iter().enumerate() {
-                let expected = softmax(batch_logits[s].row(0));
-                for (a, b) in out.probs.iter().zip(&expected) {
-                    assert!((a - b).abs() < 1e-6);
+            let samples = [[0.5, -0.5, 0.25, 1.0], [-0.3, 0.9, 0.1, -0.6]];
+            let rows: Vec<&[f32]> = samples.iter().map(|r| &r[..]).collect();
+            let batch_logits = net.predict_all(&Matrix::from_rows(&rows));
+            for (r, sample) in samples.iter().enumerate() {
+                for (s, out) in net.classify(sample).iter().enumerate() {
+                    let expected = softmax(batch_logits[s].row(r));
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&out.probs), bits(&expected), "sample {r}, stage {s}");
                 }
             }
         }
@@ -753,7 +680,7 @@ mod tests {
     #[should_panic(expected = "sample dimension")]
     fn wrong_input_dim_panics() {
         let net = StagedNetwork::new(&tiny_config(), &mut seeded_rng(8));
-        net.begin_inference(&[1.0]);
+        net.classify(&[1.0]);
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! Property tests pinning the compiled-plan execution path to the
-//! layer-walk path **bitwise**, across random architectures, batch
-//! sizes, serving precisions, and kernel tiers.
+//! Property tests pinning compiled plans — the only way a served stage
+//! runs — to the layer walk, the reference (`classify`), **bitwise**,
+//! across random architectures, batch sizes, serving precisions, and
+//! kernel tiers.
 //!
 //! The contract (see `crates/nn/src/compile.rs`): a [`StagePlan`] may
 //! fuse bias/relu into the GEMM epilogue, pre-pack weight panels, and
@@ -44,7 +45,7 @@ fn with_mode<R>(mode: SimdMode, body: impl FnOnce() -> R) -> R {
 }
 
 /// The unfused oracle: one stage of the layer walk, exactly as
-/// `InferenceSession::next_stage` / `stage_activations` run it.
+/// `classify` / `stage_activations` run it.
 fn layer_walk_stage(
     net: &StagedNetwork,
     stage: usize,
@@ -116,7 +117,7 @@ fn check_all_stages(net: &StagedNetwork, input: &Matrix) -> Result<(), proptest:
 /// The serving path for a batch of one (`NetworkSession::next_stage` in
 /// `eugene-service`) chains the `rows = 1` plans, feeding each stage the
 /// plan's own hidden output. That chain must reproduce `classify` — the
-/// layer-walk session — bitwise, stage by stage.
+/// layer walk — bitwise, stage by stage.
 fn check_batch_of_one(net: &StagedNetwork, sample: &[f32]) -> Result<(), proptest::CaseError> {
     let raw = Matrix::row_vector(sample);
     let mut hidden = raw.clone();

@@ -2,6 +2,13 @@
 # The full CI gate, runnable locally. Everything here must pass before a
 # change merges; CI (.github/workflows/ci.yml) runs exactly this script.
 #
+# Tier-1 (`cargo build --release && cargo test -q` at the root) already
+# runs the umbrella package and every crate under crates/, because the
+# root Cargo.toml sets `default-members = [".", "crates/*"]`. This script
+# adds what tier-1 leaves out: fmt, clippy, rustdoc, the vendored crates
+# (`--workspace`), the benchmark package, the `EUGENE_SIMD=0` reruns on
+# the scalar kernel tier, the `--no-run` guards and the smokes.
+#
 # The workspace builds fully offline: every dependency is a vendored
 # path crate under vendor/, so `--offline` is safe everywhere.
 set -euo pipefail
@@ -97,8 +104,9 @@ echo "==> EUGENE_SIMD=0 cargo test -p eugene --test kernel_contract -q"
 EUGENE_SIMD=0 cargo test -p eugene -q --offline --test kernel_contract
 
 # Plan-compiler regressions: the op-graph parity proptests (compiled
-# plans bitwise-equal to the layer walk across architectures/batches/
-# precisions/tier flips) and the plan-cache lifecycle suite (hit/miss
+# plans, the only serving path, bitwise-equal to the layer walk, the
+# reference, across architectures/batches/precisions/tier flips) and
+# the plan-cache lifecycle suite (hit/miss
 # accounting, invalidation on every parameter-mutation funnel,
 # quantize-after-compile, the concurrency hammers, one weight pack per
 # layer shared by every plan shape and clone, stale/foreign plans panic
