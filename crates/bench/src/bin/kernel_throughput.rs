@@ -11,11 +11,10 @@
 //! 512-wide network stage dispatched at the serving micro-batch shape,
 //! layer walk (per-dispatch planning, per-call weight packing, separate
 //! bias/relu passes) vs compiled [`eugene_nn::StagePlan`] (pre-packed
-//! panels, GEMM-epilogue fusion, arena-pooled intermediates). The
-//! process-wide counting allocator additionally proves the f32 plan
-//! path performs **zero allocations** per dispatch after warm-up, and
-//! that compiling a second batch shape allocates under 1 % of the bytes
-//! the first did (the weight panels belong to the layer, not the plan).
+//! panels, GEMM-epilogue fusion, arena-pooled intermediates). That the
+//! f32 plan allocates nothing per dispatch after warm-up, and that a
+//! second batch shape borrows the first's weight panels, is proved by
+//! `crates/nn/tests/plan_allocations.rs`.
 //!
 //! `--roofline` asks how close the serving products come to the speed
 //! the host can read memory at all. A product at m <= 8 reads every
@@ -24,8 +23,8 @@
 //! report puts the two side by side: stream-read GB/s (1 thread and
 //! every core at once) and the effective weight GB/s of the pre-packed
 //! f32 product and the i8 product at m in {1, 4, 8}, with the ratio per
-//! row. It also checks inline that the vector kernels still equal their
-//! portable twins bit for bit.
+//! row. That the vector kernels equal their portable twins bit for bit
+//! at these shapes is `tests/kernel_contract.rs`'s check.
 
 use eugene_bench::{check_flags, has_flag, host_cores, host_isa, print_table, write_json, HostIsa};
 use eugene_nn::{Layer, StagedNetwork, StagedNetworkConfig};
@@ -34,47 +33,7 @@ use eugene_tensor::{
     QuantizedRhs, SimdMode,
 };
 use serde::Serialize;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-/// Counts heap allocations (events and requested bytes) so the fused
-/// bench can assert the steady-state plan dispatch allocates nothing
-/// and a second plan shape allocates no weight panels. Deallocations
-/// are pass-through; only allocations matter for the claims.
-struct CountingAlloc;
-
-static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-
-fn count_alloc(bytes: usize) {
-    ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-    ALLOC_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_alloc(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_alloc(layout.size());
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_alloc(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 #[derive(Serialize)]
 struct KernelPoint {
@@ -114,15 +73,6 @@ struct FusedServingPoint {
     fused_vs_unfused_int8: f64,
     /// Steps in the compiled stage plan (after fusion).
     plan_steps: usize,
-    /// Heap allocation events during the measured f32 plan dispatches
-    /// (after warm-up) — the arena/pre-pack design pins this to zero.
-    steady_state_allocs: u64,
-    /// Bytes requested from the allocator while compiling the first f32
-    /// plan shape (this packs the layers' weight panels) ...
-    first_compile_alloc_bytes: u64,
-    /// ... and while compiling a second batch shape of the same stage,
-    /// which borrows those panels.
-    second_compile_alloc_bytes: u64,
 }
 
 /// Plain vector read bandwidth of the host, the ceiling for a product
@@ -274,12 +224,7 @@ fn fused_serving_bench(quick: bool) -> FusedServingPoint {
         std::hint::black_box((h.as_slice()[0], l.as_slice()[0]));
     });
 
-    let bytes_before = ALLOC_BYTES.load(Ordering::Relaxed);
     let plan = net.stage_plan(0, ROWS).expect("bench stage compiles");
-    let bytes_after_first = ALLOC_BYTES.load(Ordering::Relaxed);
-    net.stage_plan(0, ROWS / 2).expect("second shape compiles");
-    let first_compile_alloc_bytes = bytes_after_first - bytes_before;
-    let second_compile_alloc_bytes = ALLOC_BYTES.load(Ordering::Relaxed) - bytes_after_first;
     let plan_steps = plan.num_steps();
     let mut out_h = Matrix::zeros(0, 0);
     let mut out_l = Matrix::zeros(0, 0);
@@ -290,12 +235,10 @@ fn fused_serving_bench(quick: bool) -> FusedServingPoint {
     assert_bitwise(&out_h, &walk_h, "f32 hidden");
     assert_bitwise(&out_l, &walk_l, "f32 logits");
 
-    let allocs_before = ALLOC_EVENTS.load(Ordering::Relaxed);
     let fused_f32 = dispatch_hz(quick, || {
         plan.execute_into(&net, &input, &input, &mut out_h, &mut out_l);
         std::hint::black_box((out_h.as_slice()[0], out_l.as_slice()[0]));
     });
-    let steady_state_allocs = ALLOC_EVENTS.load(Ordering::Relaxed) - allocs_before;
 
     // Int8 trunk: the plan embeds the layer's own quantized pack.
     drop(plan);
@@ -325,17 +268,12 @@ fn fused_serving_bench(quick: bool) -> FusedServingPoint {
         fused_dispatch_hz_int8: fused_int8,
         fused_vs_unfused_int8: fused_int8 / unfused_int8,
         plan_steps,
-        steady_state_allocs,
-        first_compile_alloc_bytes,
-        second_compile_alloc_bytes,
     }
 }
 
-/// Prints the fused comparison and enforces the serving-path floors:
+/// Prints the fused comparison and enforces the serving-path floor:
 /// fused must beat the layer walk (>= 1.15x in the full run, >= 1.0x
-/// in the timing-noise-prone quick pass), the steady-state f32 plan
-/// dispatch must not allocate, and a second plan shape must not pack
-/// weights again.
+/// in the timing-noise-prone quick pass).
 fn report_fused(point: &FusedServingPoint, quick: bool) {
     print_table(
         "compiled-plan serving dispatch vs layer walk (single thread)",
@@ -359,23 +297,6 @@ fn report_fused(point: &FusedServingPoint, quick: bool) {
             format!("{:.0}", point.fused_dispatch_hz_int8),
             format!("{:.2}x", point.fused_vs_unfused_int8),
         ]],
-    );
-    assert_eq!(
-        point.steady_state_allocs, 0,
-        "compiled f32 plan dispatch must not allocate after warm-up \
-         (counted {} allocation events)",
-        point.steady_state_allocs
-    );
-    println!(
-        "plan compile allocations: first shape {} B, second shape {} B",
-        point.first_compile_alloc_bytes, point.second_compile_alloc_bytes
-    );
-    assert!(
-        point.second_compile_alloc_bytes * 100 < point.first_compile_alloc_bytes,
-        "a second batch shape must borrow the layers' weight panels: it allocated \
-         {} B against {} B for the first shape (floor: under 1 %)",
-        point.second_compile_alloc_bytes,
-        point.first_compile_alloc_bytes
     );
     let floor = if quick { 1.0 } else { 1.15 };
     assert!(
@@ -492,29 +413,9 @@ fn seconds_per_call<W: FnMut(usize)>(
     per_thread.iter().sum::<f64>() / threads as f64
 }
 
-/// The pre-packed f32 product and the i8 product must equal their
-/// portable twins bit for bit, on a pack sized exactly to its
-/// allocation (where the kernels' prefetch runs past the end).
-fn assert_kernels_match_portable_twins() {
-    let (m, k, n) = (8, 1024, 1024);
-    let x = random_matrix(m, k, 0x51);
-    let w = random_matrix(k, n, 0x52);
-    set_simd_mode(SimdMode::Auto);
-    let mut fast = Matrix::zeros(0, 0);
-    x.matmul_epilogue_into(&w, Some(&w.prepacked_rhs()), None, false, &mut fast);
-    let fast_q = x.matmul_quantized(&w.quantized_rhs());
-    set_simd_mode(SimdMode::ForcePortable);
-    let twin = x.matmul(&w);
-    let twin_q = x.matmul_quantized(&w.quantized_rhs());
-    set_simd_mode(SimdMode::Auto);
-    assert_bitwise(&fast, &twin, "pre-packed f32 product vs portable twin");
-    assert_bitwise(&fast_q, &twin_q, "i8 product vs scalar tier");
-}
-
 fn roofline_bench(quick: bool, host_cores: usize) -> Roofline {
     set_parallelism(1);
     set_simd_mode(SimdMode::Auto);
-    assert_kernels_match_portable_twins();
     // ROADMAP aim 1: no multi-thread number from a host that cannot run
     // the threads side by side.
     let thread_counts: Vec<usize> = if host_cores > 1 {
@@ -664,7 +565,7 @@ fn main() {
     check_flags(&["--quick", "--roofline", "--fused"]);
     let quick = has_flag("--quick");
     if has_flag("--roofline") {
-        // Report only (plus the inline parity check): no JSON rewrite.
+        // Report only: no JSON rewrite.
         report_roofline(&roofline_bench(quick, host_cores()));
         return;
     }

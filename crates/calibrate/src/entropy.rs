@@ -262,9 +262,17 @@ mod tests {
     use eugene_data::{SyntheticImages, SyntheticImagesConfig};
     use eugene_nn::{StagedNetworkConfig, TrainConfig, Trainer};
     use eugene_tensor::seeded_rng;
+    use std::sync::OnceLock;
 
-    /// Trains an intentionally overfit network: small data, many epochs.
+    /// An intentionally overfit network (small data, many epochs) with
+    /// its train and calibration sets. Trained once per test binary;
+    /// each test gets its own copy.
     fn overconfident_network() -> (StagedNetwork, Dataset, Dataset) {
+        static FIXTURE: OnceLock<(StagedNetwork, Dataset, Dataset)> = OnceLock::new();
+        FIXTURE.get_or_init(train_overconfident_network).clone()
+    }
+
+    fn train_overconfident_network() -> (StagedNetwork, Dataset, Dataset) {
         let mut rng = seeded_rng(42);
         let gen = SyntheticImages::new(
             SyntheticImagesConfig {

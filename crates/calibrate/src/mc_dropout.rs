@@ -83,8 +83,16 @@ mod tests {
     use eugene_data::{SyntheticImages, SyntheticImagesConfig};
     use eugene_nn::{evaluate_staged, StagedNetworkConfig, TrainConfig, Trainer};
     use eugene_tensor::seeded_rng;
+    use std::sync::OnceLock;
 
+    /// A trained dropout network and its training set. Trained once per
+    /// test binary; each test gets its own copy.
     fn dropout_network() -> (StagedNetwork, Dataset) {
+        static FIXTURE: OnceLock<(StagedNetwork, Dataset)> = OnceLock::new();
+        FIXTURE.get_or_init(train_dropout_network).clone()
+    }
+
+    fn train_dropout_network() -> (StagedNetwork, Dataset) {
         let mut rng = seeded_rng(7);
         let gen = SyntheticImages::new(
             SyntheticImagesConfig {

@@ -48,12 +48,6 @@ mod ffi {
         pub revents: c_short,
     }
 
-    #[repr(C)]
-    pub struct Rlimit {
-        pub rlim_cur: u64,
-        pub rlim_max: u64,
-    }
-
     extern "C" {
         #[cfg(target_os = "linux")]
         pub fn epoll_create1(flags: c_int) -> c_int;
@@ -72,8 +66,6 @@ mod ffi {
         pub fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
         pub fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
         pub fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-        pub fn getrlimit(resource: c_int, rlim: *mut Rlimit) -> c_int;
-        pub fn setrlimit(resource: c_int, rlim: *const Rlimit) -> c_int;
     }
 
     pub const EPOLL_CLOEXEC: c_int = 0o2000000;
@@ -95,8 +87,6 @@ mod ffi {
     pub const F_GETFL: c_int = 3;
     pub const F_SETFL: c_int = 4;
     pub const O_NONBLOCK: c_int = 0o4000;
-
-    pub const RLIMIT_NOFILE: c_int = 7;
 }
 
 fn last_os_error() -> io::Error {
@@ -530,41 +520,6 @@ impl std::fmt::Debug for Waker {
         f.debug_struct("Waker")
             .field("read_fd", &self.inner.read_fd)
             .finish()
-    }
-}
-
-/// Best-effort raise of `RLIMIT_NOFILE` to at least `want` fds; returns
-/// the soft limit actually in effect afterwards. Ten thousand idle
-/// connections cost ~20k fds in a loopback benchmark (both ends live in
-/// one process), which brushes common default limits.
-pub fn raise_nofile_limit(want: u64) -> u64 {
-    let mut lim = ffi::Rlimit {
-        rlim_cur: 0,
-        rlim_max: 0,
-    };
-    if unsafe { ffi::getrlimit(ffi::RLIMIT_NOFILE, &mut lim) } != 0 {
-        return 1024;
-    }
-    if lim.rlim_cur >= want {
-        return lim.rlim_cur;
-    }
-    let target = ffi::Rlimit {
-        rlim_cur: want.max(lim.rlim_cur),
-        rlim_max: want.max(lim.rlim_max),
-    };
-    if unsafe { ffi::setrlimit(ffi::RLIMIT_NOFILE, &target) } == 0 {
-        return target.rlim_cur;
-    }
-    // Could not raise the hard limit (not privileged): settle for the
-    // largest soft limit the current hard limit allows.
-    let capped = ffi::Rlimit {
-        rlim_cur: want.min(lim.rlim_max),
-        rlim_max: lim.rlim_max,
-    };
-    if unsafe { ffi::setrlimit(ffi::RLIMIT_NOFILE, &capped) } == 0 {
-        capped.rlim_cur
-    } else {
-        lim.rlim_cur
     }
 }
 

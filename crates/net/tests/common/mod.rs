@@ -1,10 +1,13 @@
 //! Shared fixtures for eugene-net integration tests: a deterministic
-//! staged engine (the serve crate's test engine is private) and a helper
-//! that boots a full runtime + gateway on a loopback socket.
+//! staged engine (the serve crate's test engine is private), helpers that
+//! boot a full runtime + gateway or router on a loopback socket, and a
+//! raw-socket handshake.
 
+use eugene_net::wire::{self, Frame, FrameBuffer, PROTOCOL_VERSION};
 use eugene_net::{Gateway, GatewayConfig, ShardConfig, ShardRouter};
 use eugene_sched::Fifo;
 use eugene_serve::{EngineSession, InferenceEngine, RuntimeConfig, ServingRuntime, StageReport};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -102,4 +105,52 @@ pub fn start_router(
         .map(|_| shard_runtime(ramp.clone(), stage_time, &runtime_config))
         .collect();
     ShardRouter::start(runtimes, shard_config).expect("bind loopback shard router")
+}
+
+/// A runtime config with `workers` workers and every other knob at its
+/// default (no early exit).
+#[allow(dead_code)]
+pub fn fast_runtime(workers: usize) -> RuntimeConfig {
+    RuntimeConfig {
+        num_workers: workers,
+        ..RuntimeConfig::default()
+    }
+}
+
+/// Effectively no admission control: for tests that measure delivery,
+/// not shedding.
+#[allow(dead_code)]
+pub fn open_config() -> GatewayConfig {
+    GatewayConfig {
+        high_water: 1_000_000,
+        hard_cap: 2_000_000,
+        ..GatewayConfig::default()
+    }
+}
+
+/// Connects and completes the Hello/HelloAck handshake, returning the
+/// stream (so the connection stays open until the caller drops it). The
+/// gateway sends nothing unasked after its `HelloAck`, so a fresh
+/// `FrameBuffer` reads the connection's next frames.
+#[allow(dead_code)]
+pub fn handshake(addr: SocketAddr) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    wire::write_frame(
+        &mut stream,
+        &Frame::Hello {
+            max_version: PROTOCOL_VERSION,
+        },
+    )
+    .expect("hello");
+    let mut buffer = FrameBuffer::new();
+    loop {
+        match buffer.poll(&mut stream).expect("read ack") {
+            Some(Frame::HelloAck { .. }) => return stream,
+            Some(other) => panic!("expected HelloAck, got {other:?}"),
+            None => {}
+        }
+    }
 }

@@ -1,54 +1,14 @@
 //! Event-driven latency regressions: the gateway must react to connects,
 //! stage progress, and connection exits when they *happen*, not on the
-//! next edge of some internal polling tick.
+//! next edge of some internal polling tick; and closed sockets leave the
+//! event loop as they close.
 
 mod common;
 
-use common::start_gateway;
-use eugene_net::wire::{self, Frame, FrameBuffer, PROTOCOL_VERSION};
-use eugene_net::{ClientConfig, GatewayConfig, MultiplexClient};
-use eugene_serve::RuntimeConfig;
-use std::net::{SocketAddr, TcpStream};
+use common::{fast_runtime, handshake, open_config, start_gateway};
+use eugene_net::wire::{self, Frame, FrameBuffer};
+use eugene_net::{ClientConfig, MultiplexClient};
 use std::time::{Duration, Instant};
-
-fn fast_runtime(workers: usize) -> RuntimeConfig {
-    RuntimeConfig {
-        num_workers: workers,
-        ..RuntimeConfig::default()
-    }
-}
-
-fn open_config() -> GatewayConfig {
-    GatewayConfig {
-        high_water: 1_000_000,
-        hard_cap: 2_000_000,
-        ..GatewayConfig::default()
-    }
-}
-
-/// Connects and completes the Hello/HelloAck handshake, returning the
-/// stream (so the connection stays open until the caller drops it).
-fn handshake(addr: SocketAddr) -> TcpStream {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .expect("read timeout");
-    wire::write_frame(
-        &mut stream,
-        &Frame::Hello {
-            max_version: PROTOCOL_VERSION,
-        },
-    )
-    .expect("hello");
-    let mut buffer = FrameBuffer::new();
-    loop {
-        match buffer.poll(&mut stream).expect("read ack") {
-            Some(Frame::HelloAck { .. }) => return stream,
-            Some(other) => panic!("expected HelloAck, got {other:?}"),
-            None => {}
-        }
-    }
-}
 
 /// Regression for the accept loop's old fixed 5ms `WouldBlock` sleep: a
 /// connect against an idle gateway paid up to a full sleep period before
@@ -80,7 +40,8 @@ fn idle_gateway_accepts_without_a_sleep_tick() {
 
 /// `StageUpdate`s must stream while later stages are still executing —
 /// arriving event-driven within a stage time of being produced, never
-/// batched up with the `Final`.
+/// batched up with the `Final`. (What the updates carry is
+/// `loopback.rs`'s check.)
 #[test]
 fn stage_updates_stream_during_execution() {
     let stage_time = Duration::from_millis(60);
@@ -109,24 +70,25 @@ fn stage_updates_stream_during_execution() {
     .expect("submit");
 
     let mut buffer = FrameBuffer::new();
-    let mut update_arrivals = Vec::new();
+    let mut first_update = None;
     let final_at = loop {
         match buffer.poll(&mut stream).expect("read frame") {
-            Some(Frame::StageUpdate { .. }) => update_arrivals.push(started.elapsed()),
+            Some(Frame::StageUpdate { .. }) => {
+                first_update.get_or_insert(started.elapsed());
+            }
             Some(Frame::Final { .. }) => break started.elapsed(),
             Some(other) => panic!("unexpected frame {other:?}"),
             None => {}
         }
     };
 
-    assert_eq!(update_arrivals.len(), 3, "one update per stage");
+    let first_update = first_update.expect("a StageUpdate ahead of the Final");
     // Stage 0 finishes after ~one stage time; its update must arrive
     // well before the remaining two stages complete.
     assert!(
-        update_arrivals[0] < stage_time * 2,
-        "first StageUpdate arrived at {:?} — updates are being held back \
-         instead of streamed (Final at {final_at:?})",
-        update_arrivals[0]
+        first_update < stage_time * 2,
+        "first StageUpdate arrived at {first_update:?} — updates are being \
+         held back instead of streamed (Final at {final_at:?})"
     );
     assert!(
         final_at >= stage_time * 3,
@@ -181,4 +143,46 @@ fn accepts_stay_live_while_a_connection_is_wedged() {
         );
         std::thread::sleep(Duration::from_millis(10));
     }
+}
+
+/// Sixty connect → infer → disconnect cycles: closed sockets leave the
+/// event loop promptly, so the open-connection gauge stays bounded by
+/// *live* connections during the churn and drains once it stops, and no
+/// thread is spawned per connection.
+#[test]
+fn connection_churn_drains_closed_sockets() {
+    const CYCLES: usize = 60;
+    let gateway = start_gateway(vec![0.9], Duration::ZERO, fast_runtime(2), open_config());
+    let addr = gateway.local_addr();
+    let status = gateway.status();
+
+    for cycle in 0..CYCLES {
+        let client = MultiplexClient::new(addr, ClientConfig::default()).expect("resolve loopback");
+        let outcome = client
+            .infer("churn", &[cycle as f32], Duration::from_secs(5))
+            .unwrap_or_else(|e| panic!("cycle {cycle}: {e}"));
+        assert_eq!(outcome.predicted, Some(cycle as u64));
+        drop(client);
+        if cycle % 10 == 9 {
+            assert!(
+                status.open_connections() <= 16,
+                "cycle {cycle}: {} connections open — closed sockets are \
+                 not leaving the event loop",
+                status.open_connections()
+            );
+        }
+    }
+
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while status.open_connections() > 1 {
+        assert!(
+            Instant::now() < deadline,
+            "{} connections still open long after all {CYCLES} closed",
+            status.open_connections()
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_eq!(status.connections_opened(), CYCLES as u64);
+    assert!(!status.accept_failed(), "accepting must survive churn");
+    assert_eq!(status.threads_spawned(), 1, "churn must not spawn threads");
 }

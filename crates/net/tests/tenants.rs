@@ -1,13 +1,15 @@
 //! Per-tenant admission over the wire: hard per-tenant caps bind at any
 //! load, overload sheds by weighted fair share (the tenant that overshot
-//! sheds first), and anonymous traffic keeps the legacy path.
+//! sheds first), a rogue tenant at 4x a compliant one's rate cannot push
+//! the compliant tenant past its latency SLO, and anonymous traffic keeps
+//! the legacy path.
 
 mod common;
 
 use common::start_gateway;
 use eugene_net::{
-    ClientConfig, ClientError, GatewayConfig, MultiplexClient, PendingInference, RejectReason,
-    SubmitOptions, TenantQuota,
+    loadgen, ClassSpec, ClientConfig, ClientError, GatewayConfig, LoadgenConfig, MultiplexClient,
+    PendingInference, RejectReason, SubmitOptions, TenantQuota, TenantSpec,
 };
 use eugene_serve::RuntimeConfig;
 use std::collections::HashMap;
@@ -18,6 +20,20 @@ fn one_try() -> ClientConfig {
         max_attempts: 1,
         ..ClientConfig::default()
     }
+}
+
+/// Weighted fair-share quotas with no hard per-tenant cap.
+fn weighted(tenants: &[(&str, f64)]) -> HashMap<String, TenantQuota> {
+    tenants
+        .iter()
+        .map(|&(name, weight)| {
+            let quota = TenantQuota {
+                weight,
+                max_in_flight: None,
+            };
+            (name.to_owned(), quota)
+        })
+        .collect()
 }
 
 fn tenant(name: &str) -> SubmitOptions {
@@ -141,22 +157,8 @@ fn a_tenant_cap_sheds_only_that_tenant() {
 /// admitted afterwards.
 #[test]
 fn overload_sheds_by_weighted_fair_share() {
-    let mut quotas = HashMap::new();
     // Shares of hard_cap 8 at weights 3:1 → heavy 6, light 2.
-    quotas.insert(
-        "heavy".to_owned(),
-        TenantQuota {
-            weight: 3.0,
-            max_in_flight: None,
-        },
-    );
-    quotas.insert(
-        "light".to_owned(),
-        TenantQuota {
-            weight: 1.0,
-            max_in_flight: None,
-        },
-    );
+    let quotas = weighted(&[("heavy", 3.0), ("light", 1.0)]);
     let gateway = start_gateway(
         vec![0.95],
         Duration::from_millis(1_500),
@@ -216,4 +218,90 @@ fn overload_sheds_by_weighted_fair_share() {
     assert_eq!(rows["light"].admitted, 2);
     assert_eq!(rows["light"].shed, 1);
     gateway.shutdown();
+}
+
+/// Isolation under overload: a compliant tenant offering ~300 req/s, well
+/// inside its weighted share of the engine's ~1300 req/s, shares the
+/// gateway with a rogue tenant offering 4x that. The weighted fair shares
+/// (3:1 over hard_cap 48, so 36 vs 12 in flight) make the queue the rogue
+/// builds past the high-water mark its own: the rogue sheds, and the
+/// compliant tenant sees no error, shed or missed deadline, and a p99
+/// inside its SLO.
+#[test]
+fn a_rogue_tenant_cannot_push_a_compliant_one_past_its_slo() {
+    const SLO_MS: f64 = 200.0;
+    let gateway = start_gateway(
+        vec![0.4, 0.7, 0.95],
+        Duration::from_millis(1),
+        RuntimeConfig {
+            num_workers: 4,
+            confidence_threshold: 0.9,
+            ..RuntimeConfig::default()
+        },
+        GatewayConfig {
+            high_water: 12,
+            hard_cap: 48,
+            tenant_quotas: weighted(&[("compliant", 3.0), ("rogue", 1.0)]),
+            ..GatewayConfig::default()
+        },
+    );
+    let report = loadgen::run(&LoadgenConfig {
+        addr: gateway.local_addr().to_string(),
+        connections: 64,
+        total_requests: 900,
+        rate_hz: 1_500.0,
+        classes: vec![ClassSpec {
+            name: "interactive".to_owned(),
+            budget_ms: 400,
+            weight: 1.0,
+            payload_len: 16,
+        }],
+        seed: 37,
+        client: one_try(), // a shed must surface as a shed, not a retry
+        concurrency: 64,
+        tenants: vec![
+            TenantSpec {
+                name: "compliant".to_owned(),
+                weight: 1.0,
+            },
+            TenantSpec {
+                name: "rogue".to_owned(),
+                weight: 4.0,
+            },
+        ],
+        ..LoadgenConfig::default()
+    });
+    let rows = gateway.snapshot().per_tenant;
+    gateway.shutdown();
+
+    let compliant = &report.per_tenant["compliant"];
+    println!(
+        "compliant p99 {:.2} ms against the {SLO_MS:.0} ms SLO",
+        compliant.p99_ms
+    );
+    assert_eq!(compliant.errors, 0, "compliant tenant must see zero errors");
+    assert_eq!(
+        compliant.rejected, 0,
+        "the rogue's overload must never shed the compliant tenant"
+    );
+    assert_eq!(
+        compliant.expired + compliant.deadline_exhausted,
+        0,
+        "compliant tenant must miss no deadlines"
+    );
+    assert!(
+        compliant.p99_ms < SLO_MS,
+        "a rogue at 4x quota must not push the compliant p99 past the \
+         {SLO_MS:.0} ms SLO (saw {:.2} ms)",
+        compliant.p99_ms
+    );
+    let rogue = &report.per_tenant["rogue"];
+    assert!(
+        rogue.rejected > 0,
+        "the rogue's overshoot must shed its own traffic"
+    );
+    assert_eq!(
+        rows["rogue"].shed, rogue.rejected,
+        "gateway and client agree"
+    );
 }

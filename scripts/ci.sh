@@ -46,44 +46,51 @@ cargo test --workspace -q --offline
 # `EUGENE_SIMD=0` passes run for real, because they run the suites on
 # the scalar tier, which the workspace run does not cover.
 #
-# The event loop's connection lifecycle (churn drains closed sockets, an
-# idle crowd on one thread), the event-driven latency bounds
-# (no accept sleep, no forwarding tick), the router fault suite (keys
-# land where the ring routes, pings answered locally, revive ordering,
-# old connections reach a revived shard, zero-error loadgen through a
-# kill, live add/remove under load), the per-tenant admission suite (hard
-# caps, weighted fair shedding), and the overload degradation suite (2x
-# saturation in Degrade mode: zero rejects after admission, every Final
-# carries >=1 stage, utility beats the kill baseline). The gateway's own
-# contract (hard cap under a pipelined burst, drain on shutdown, read
-# backpressure, shutdown past a client that never reads) runs in the
-# root crate's tier-1
+# In eugene-net: the event-driven latency bounds (no accept sleep, no
+# forwarding tick, closed sockets leave the loop under churn), the
+# router fault suite (keys land where the ring routes, pings answered
+# locally, revive ordering, old connections reach a revived shard,
+# zero-error loadgen through a kill, live add/remove under load), the
+# per-tenant admission suite (hard caps, weighted fair shedding, a rogue
+# tenant at 4x cannot push a compliant one past its SLO), the overload
+# degradation suite (2x saturation in Degrade mode: zero rejects after
+# admission, every Final carries >=1 stage, utility beats the kill
+# baseline), and the data-aware registry (beats each single-variant
+# deployment on utility at equal compute; a timing, alone in its
+# process). In the root crate: the gateway's contract (hard cap under a
+# pipelined burst, drain on shutdown over one or many connections, read
+# backpressure, shutdown past a client that never reads) in
 # `tests/gateway_contract.rs`, multiplexing (96 interleaved tags with
 # stage streams on one connection, every update ahead of its Final; 10k
 # requests on one connection and one thread) in `tests/multiplex.rs`,
 # the registry lifecycle (load/unload with requests in flight, a model
 # loaded into a running gateway serves) in `tests/registry_lifecycle.rs`,
-# the client's (stale frames counted and dropped, a lapsed deadline
-# abandons the request but keeps the connection, retry bounded by the
-# budget) in
+# `serve_multi`'s fitted dispatcher (anonymous submits reach both
+# variants, a wrong-width payload fails on the hard route, no data no
+# runtime) in `tests/fitted_dispatcher.rs`, the client's (stale frames
+# counted and dropped, a lapsed deadline abandons the request but keeps
+# the connection, retry bounded by the budget) in
 # `tests/client_contract.rs`, the shard router's (a kill mid-flight is
 # invisible, exactly-once answers across 100x kill/revive races, no
 # shard left answers ShardLost, shutdown returns with a stalled or
 # silent client, a router grown from one shard fails over, an unknown
-# shard index refused) in `tests/router_contract.rs`, the router's
-# thread budget (one event loop, counted in a process of its own) in
-# `tests/router_threads.rs`, the consistent-hash ring property suite
-# (bounded remap, exact restore, restart determinism, replica
-# placement, scale-out successors) in `tests/ring_properties.rs`, and
-# the runtime's deadline contract in `tests/runtime_contract.rs`.
-echo "==> cargo test -p eugene-net --no-run --test readiness --test latency --test replica_faults --test tenants --test overload"
+# shard index refused) in `tests/router_contract.rs`, the thread budget
+# (the router is one event loop; a gateway holds an idle crowd without
+# gaining a thread and a live request gets through it in under a
+# second; counted in a process of its own) in `tests/router_threads.rs`,
+# the consistent-hash ring property suite (bounded remap, exact restore,
+# restart determinism, replica placement, scale-out successors) in
+# `tests/ring_properties.rs`, and the runtime's deadline contract in
+# `tests/runtime_contract.rs`.
+echo "==> cargo test -p eugene-net --no-run --test latency --test replica_faults --test tenants --test overload --test data_aware_registry"
 cargo test -p eugene-net -q --offline --no-run \
-  --test readiness --test latency --test replica_faults \
-  --test tenants --test overload
-echo "==> cargo test -p eugene --no-run --test gateway_contract --test multiplex --test registry_lifecycle --test router_contract --test router_threads --test ring_properties"
+  --test latency --test replica_faults --test tenants --test overload \
+  --test data_aware_registry
+echo "==> cargo test -p eugene --no-run --test gateway_contract --test multiplex --test registry_lifecycle --test fitted_dispatcher --test router_contract --test router_threads --test ring_properties"
 cargo test -p eugene -q --offline --no-run \
   --test gateway_contract --test multiplex --test registry_lifecycle \
-  --test router_contract --test router_threads --test ring_properties
+  --test fitted_dispatcher --test router_contract --test router_threads \
+  --test ring_properties
 
 # Kernel regressions: the blocked/parallel matmul paths must stay
 # bitwise-equal to the naive references at every parallelism setting
@@ -96,8 +103,9 @@ echo "==> EUGENE_SIMD=0 cargo test -p eugene-tensor --test kernel_properties -q"
 EUGENE_SIMD=0 cargo test -p eugene-tensor -q --offline --test kernel_properties
 
 # The same contract at the shapes the serving path runs (batches of
-# 1..=9 rows against pre-packed wide weights, f32 and i8, and a plan
-# chain against classify) — fixed seeds, so it also runs in tier-1.
+# 1..=9 rows against pre-packed wide weights, f32 and i8, including a
+# 1024x1024 pack that fills its allocation, and a plan chain against
+# classify) — fixed seeds, so it also runs in tier-1.
 echo "==> cargo test -p eugene --no-run --test kernel_contract"
 cargo test -p eugene -q --offline --no-run --test kernel_contract
 echo "==> EUGENE_SIMD=0 cargo test -p eugene --test kernel_contract -q"
@@ -105,15 +113,19 @@ EUGENE_SIMD=0 cargo test -p eugene -q --offline --test kernel_contract
 
 # Plan-compiler regressions: the op-graph parity proptests (compiled
 # plans, the only serving path, bitwise-equal to the layer walk, the
-# reference, across architectures/batches/precisions/tier flips) and
-# the plan-cache lifecycle suite (hit/miss
+# reference, across architectures/batches/precisions/tier flips), the
+# plan-cache lifecycle suite (hit/miss
 # accounting, invalidation on every parameter-mutation funnel,
 # quantize-after-compile, the concurrency hammers, one weight pack per
 # layer shared by every plan shape and clone, stale/foreign plans panic
-# instead of answering). The scalar pass keeps fused epilogues on both
+# instead of answering) and the allocation proofs (an f32 plan
+# dispatch allocates nothing after warm-up; a second batch shape
+# allocates under 1 % of the first's bytes; a counting allocator in a
+# process of its own). The scalar pass keeps fused epilogues on both
 # the vectorized and scalar tiers under the parity contract.
-echo "==> cargo test -p eugene-nn --no-run --test plan_parity --test plan_cache"
-cargo test -p eugene-nn -q --offline --no-run --test plan_parity --test plan_cache
+echo "==> cargo test -p eugene-nn --no-run --test plan_parity --test plan_cache --test plan_allocations"
+cargo test -p eugene-nn -q --offline --no-run \
+  --test plan_parity --test plan_cache --test plan_allocations
 echo "==> EUGENE_SIMD=0 cargo test -p eugene-nn --test plan_parity --test plan_cache -q"
 EUGENE_SIMD=0 cargo test -p eugene-nn -q --offline --test plan_parity --test plan_cache
 
@@ -134,34 +146,16 @@ echo "==> kernel_throughput --quick"
 cargo run --release --offline -p eugene-bench --bin kernel_throughput -- --quick
 
 # Fused-serving smoke: compiled-plan dispatch vs the unfused layer walk
-# at 512x512, single thread. Asserts bitwise parity inline, zero
-# steady-state allocations after warm-up (counting global allocator),
-# a second batch shape compiling with < 1 % of the first's allocated
-# bytes (plans borrow the layers' weight panels), and that the fused
-# plan is at least as fast as the walk (the full bench holds the 1.15x
-# floor).
+# at 512x512, single thread. Asserts bitwise parity inline and that the
+# fused plan is at least as fast as the walk (the full bench holds the
+# 1.15x floor).
 echo "==> kernel_throughput --fused --quick"
 cargo run --release --offline -p eugene-bench --bin kernel_throughput -- --fused --quick
 
 # Roofline smoke: stream-read bandwidth against the effective weight
-# bandwidth of the serving products. Report only, except that it checks
-# inline that the prefetching kernels equal their portable twins bit for
-# bit on a pack that fills its allocation.
+# bandwidth of the serving products. Report only.
 echo "==> kernel_throughput --roofline --quick"
 cargo run --release --offline -p eugene-bench --bin kernel_throughput -- --roofline --quick
-
-# Idle-connection scaling smoke: the gateway holds an idle crowd;
-# asserts the process gains no thread between the gateway's start and
-# the whole crowd being held (counted from /proc/self/task).
-echo "==> gateway_throughput --quick --idle"
-cargo run --release --offline -p eugene-bench --bin gateway_throughput -- --quick --idle
-
-# Multi-tenant smoke: a rogue tenant at 4x the compliant tenant's rate
-# must shed its own traffic (compliant p99 inside SLO, zero errors), and
-# the two-variant registry must beat both single-variant deployments on
-# utility at equal compute.
-echo "==> gateway_throughput --quick --tenants"
-cargo run --release --offline -p eugene-bench --bin gateway_throughput -- --quick --tenants
 
 # The benchmark's smoke: < 60 s over all four workloads, both passes,
 # with every answer checked bit for bit.

@@ -6,56 +6,16 @@
 #[path = "../crates/net/tests/common/mod.rs"]
 mod common;
 
-use common::start_gateway;
-use eugene::net::wire::{self, Frame, FrameBuffer, SubmitRequest, PROTOCOL_VERSION};
+use common::{fast_runtime, handshake, open_config, start_gateway};
+use eugene::net::wire::{self, Frame, FrameBuffer, SubmitRequest};
 use eugene::net::{ClientConfig, ClientError, Gateway, GatewayConfig, MultiplexClient};
-use eugene::serve::RuntimeConfig;
 use std::io::{self, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::TcpStream;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-fn fast_runtime(workers: usize) -> RuntimeConfig {
-    RuntimeConfig {
-        num_workers: workers,
-        ..RuntimeConfig::default()
-    }
-}
-
 fn open_gateway(ramp: Vec<f32>, stage_time: Duration, workers: usize) -> Gateway {
-    start_gateway(
-        ramp,
-        stage_time,
-        fast_runtime(workers),
-        GatewayConfig {
-            high_water: 1_000_000,
-            hard_cap: 2_000_000,
-            ..GatewayConfig::default()
-        },
-    )
-}
-
-/// Connects and completes the Hello/HelloAck handshake.
-fn handshake(addr: SocketAddr) -> TcpStream {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .expect("read timeout");
-    wire::write_frame(
-        &mut stream,
-        &Frame::Hello {
-            max_version: PROTOCOL_VERSION,
-        },
-    )
-    .expect("hello");
-    let mut buffer = FrameBuffer::new();
-    loop {
-        match buffer.poll(&mut stream).expect("read ack") {
-            Some(Frame::HelloAck { .. }) => return stream,
-            Some(other) => panic!("expected HelloAck, got {other:?}"),
-            None => {}
-        }
-    }
+    start_gateway(ramp, stage_time, fast_runtime(workers), open_config())
 }
 
 /// Shuts `gateway` down on another thread; `Some(elapsed)` if it
@@ -170,38 +130,50 @@ fn hard_cap_holds_under_concurrent_submits() {
     );
 }
 
-/// Gateway shutdown with a pipeline full of in-flight multiplexed
-/// requests: every one of them still gets its `Final` during the drain.
+/// Gateway shutdown with requests in flight: every admitted one still
+/// gets its `Final` during the drain, whether they share one pipelined
+/// connection or each has a connection of its own.
 #[test]
 fn shutdown_drains_every_in_flight_request() {
     const N: usize = 8;
-    let gateway = open_gateway(vec![0.4, 0.7, 0.95], Duration::from_millis(10), 4);
-    let client = MultiplexClient::new(gateway.local_addr(), ClientConfig::default())
-        .expect("resolve loopback");
-    let pending: Vec<_> = (0..N)
-        .map(|i| {
-            client
-                .submit("interactive", &[i as f32], Duration::from_secs(10), false)
-                .expect("submit")
-        })
-        .collect();
-    // The drain guarantee covers admitted requests, not bytes still in
-    // the socket buffer: wait until all N are admitted, then shut down.
-    let status = gateway.status();
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while status.in_flight_reserved() < N as u64 {
-        assert!(
-            Instant::now() < deadline,
-            "gateway never admitted all {N} submits"
-        );
-        std::thread::yield_now();
-    }
-    gateway.shutdown();
-    for (i, p) in pending.into_iter().enumerate() {
-        let outcome = p
-            .wait()
-            .unwrap_or_else(|e| panic!("request {i} lost in drain: {e}"));
-        assert_eq!(outcome.predicted, Some(i as u64));
+    for connections in [1, N] {
+        let gateway = open_gateway(vec![0.4, 0.7, 0.95], Duration::from_millis(10), 4);
+        let clients: Vec<_> = (0..connections)
+            .map(|_| {
+                MultiplexClient::new(gateway.local_addr(), ClientConfig::default())
+                    .expect("resolve loopback")
+            })
+            .collect();
+        let pending: Vec<_> = (0..N)
+            .map(|i| {
+                clients[i % connections]
+                    .submit("interactive", &[i as f32], Duration::from_secs(10), false)
+                    .expect("submit")
+            })
+            .collect();
+        // The drain guarantee covers admitted requests, not bytes still
+        // in a socket buffer: wait until all N are admitted, then shut
+        // down.
+        let status = gateway.status();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while status.in_flight_reserved() < N as u64 {
+            assert!(
+                Instant::now() < deadline,
+                "{connections} connection(s): gateway never admitted all {N} submits"
+            );
+            std::thread::yield_now();
+        }
+        gateway.shutdown();
+        for (i, p) in pending.into_iter().enumerate() {
+            let outcome = p.wait().unwrap_or_else(|e| {
+                panic!("{connections} connection(s): request {i} lost in drain: {e}")
+            });
+            assert_eq!(outcome.predicted, Some(i as u64));
+            assert_eq!(
+                outcome.stages_executed, 3,
+                "drained requests run every stage"
+            );
+        }
     }
 }
 

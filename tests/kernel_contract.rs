@@ -19,7 +19,9 @@ use eugene::tensor::{
 };
 use std::sync::{Mutex, MutexGuard};
 
-const SHAPES: [(usize, usize); 3] = [(300, 70), (257, 1024), (1024, 96)];
+/// `(k, n)` of the weights. `(1024, 1024)` is a pack that fills its
+/// allocation exactly, so the kernels' prefetch runs past its end.
+const SHAPES: [(usize, usize); 4] = [(300, 70), (257, 1024), (1024, 96), (1024, 1024)];
 
 /// The kernel-path override is process-global; every test here holds
 /// this lock.

@@ -6,29 +6,13 @@
 #[path = "../crates/net/tests/common/mod.rs"]
 mod common;
 
-use common::start_gateway;
+use common::{fast_runtime, open_config, start_gateway};
 use eugene::net::wire::{self, Frame, FrameBuffer, WireResponse, PROTOCOL_VERSION};
-use eugene::net::{ClientConfig, GatewayConfig, MultiplexClient};
-use eugene::serve::RuntimeConfig;
+use eugene::net::{ClientConfig, MultiplexClient};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use std::net::TcpListener;
 use std::time::Duration;
-
-fn fast_runtime(workers: usize) -> RuntimeConfig {
-    RuntimeConfig {
-        num_workers: workers,
-        ..RuntimeConfig::default()
-    }
-}
-
-fn open_config() -> GatewayConfig {
-    GatewayConfig {
-        high_water: 1_000_000,
-        hard_cap: 2_000_000,
-        ..GatewayConfig::default()
-    }
-}
 
 /// ≥64 interleaved in-flight tags on ONE connection: every `Final` must
 /// reach the request that submitted it, and `want_progress` streams

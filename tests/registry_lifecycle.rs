@@ -5,19 +5,12 @@
 #[path = "../crates/net/tests/common/mod.rs"]
 mod common;
 
-use common::shard_runtime;
+use common::{fast_runtime, shard_runtime};
 use eugene::net::{
     ClientConfig, ClientError, Gateway, GatewayConfig, MultiplexClient, RejectReason, SubmitOptions,
 };
-use eugene::serve::{ModelRegistry, RuntimeConfig};
+use eugene::serve::ModelRegistry;
 use std::time::{Duration, Instant};
-
-fn fast_runtime() -> RuntimeConfig {
-    RuntimeConfig {
-        num_workers: 2,
-        ..RuntimeConfig::default()
-    }
-}
 
 /// One attempt, so a Reject surfaces as the typed error instead of being
 /// retried into a deadline.
@@ -59,7 +52,7 @@ fn await_submitted(registry: &ModelRegistry, model: &str, n: u64) {
 fn models_load_and_unload_with_requests_in_flight() {
     let slow = Duration::from_millis(150);
     let registry = ModelRegistry::new("a");
-    registry.load("a", shard_runtime(vec![0.95], slow, &fast_runtime()));
+    registry.load("a", shard_runtime(vec![0.95], slow, &fast_runtime(2)));
     let gateway = Gateway::start_registry(registry.clone(), GatewayConfig::default())
         .expect("bind loopback gateway");
     let client = MultiplexClient::new(gateway.local_addr(), one_try()).expect("connect");
@@ -79,7 +72,7 @@ fn models_load_and_unload_with_requests_in_flight() {
     // Load "b" while "a" is mid-request; it serves immediately.
     registry.load(
         "b",
-        shard_runtime(vec![0.9], Duration::ZERO, &fast_runtime()),
+        shard_runtime(vec![0.9], Duration::ZERO, &fast_runtime(2)),
     );
     let outcome = client
         .infer_with("lifecycle", &[5.0], Duration::from_secs(10), &to("b"))
@@ -122,7 +115,7 @@ fn reload_swaps_generations_under_traffic() {
     let registry = ModelRegistry::new("m");
     registry.load(
         "m",
-        shard_runtime(vec![0.9], Duration::ZERO, &fast_runtime()),
+        shard_runtime(vec![0.9], Duration::ZERO, &fast_runtime(2)),
     );
     let gateway = Gateway::start_registry(registry.clone(), GatewayConfig::default())
         .expect("bind loopback gateway");
@@ -136,7 +129,7 @@ fn reload_swaps_generations_under_traffic() {
 
     registry.load(
         "m",
-        shard_runtime(vec![0.9], Duration::ZERO, &fast_runtime()),
+        shard_runtime(vec![0.9], Duration::ZERO, &fast_runtime(2)),
     );
     let v2 = registry.models()[0].1;
     assert!(v2 > v1, "reload bumps the version ({v1} -> {v2})");

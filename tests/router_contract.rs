@@ -10,38 +10,24 @@
 #[path = "../crates/net/tests/common/mod.rs"]
 mod common;
 
-use common::{shard_runtime, start_router};
-use eugene::net::wire::{self, Frame, FrameBuffer, RejectReason, PROTOCOL_VERSION};
-use eugene::net::{
-    ClientConfig, ClientError, GatewayConfig, MultiplexClient, ShardConfig, ShardRouter,
-};
-use eugene::serve::RuntimeConfig;
+use common::{fast_runtime, handshake, open_config, shard_runtime, start_router};
+use eugene::net::wire::{self, Frame, RejectReason};
+use eugene::net::{ClientConfig, ClientError, MultiplexClient, ShardConfig, ShardRouter};
 use std::io::{self, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::TcpStream;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 const RAMP: [f32; 2] = [0.5, 0.95];
-
-fn runtime_config() -> RuntimeConfig {
-    RuntimeConfig {
-        num_workers: 2,
-        ..RuntimeConfig::default()
-    }
-}
 
 fn start(shards: usize, stage_time: Duration) -> ShardRouter {
     start_router(
         shards,
         RAMP.to_vec(),
         stage_time,
-        runtime_config(),
+        fast_runtime(2),
         ShardConfig {
-            gateway: GatewayConfig {
-                high_water: 1_000_000,
-                hard_cap: 2_000_000,
-                ..GatewayConfig::default()
-            },
+            gateway: open_config(),
             ..ShardConfig::default()
         },
     )
@@ -82,29 +68,6 @@ fn shutdown_within(router: ShardRouter, bound: Duration) -> Option<Duration> {
         let _ = tx.send(started.elapsed());
     });
     rx.recv_timeout(bound).ok()
-}
-
-/// Connects and completes the Hello/HelloAck handshake.
-fn handshake(addr: SocketAddr) -> TcpStream {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .expect("read timeout");
-    wire::write_frame(
-        &mut stream,
-        &Frame::Hello {
-            max_version: PROTOCOL_VERSION,
-        },
-    )
-    .expect("hello");
-    let mut buffer = FrameBuffer::new();
-    loop {
-        match buffer.poll(&mut stream).expect("read ack") {
-            Some(Frame::HelloAck { .. }) => return stream,
-            Some(other) => panic!("expected HelloAck, got {other:?}"),
-            None => {}
-        }
-    }
 }
 
 /// Kill a shard with staged requests in flight: every one replays to the
@@ -200,7 +163,7 @@ fn kill_mid_flight_is_invisible_to_clients() {
     router
         .revive_shard(
             VICTIM,
-            shard_runtime(RAMP.to_vec(), Duration::from_millis(1), &runtime_config()),
+            shard_runtime(RAMP.to_vec(), Duration::from_millis(1), &fast_runtime(2)),
         )
         .expect("revive shard");
     assert_eq!(router.alive_shards(), SHARDS);
@@ -230,7 +193,7 @@ fn an_unknown_shard_index_is_refused_and_the_router_keeps_serving() {
     let err = router
         .revive_shard(
             unknown,
-            shard_runtime(RAMP.to_vec(), Duration::from_millis(1), &runtime_config()),
+            shard_runtime(RAMP.to_vec(), Duration::from_millis(1), &fast_runtime(2)),
         )
         .expect_err("no shard to revive");
     assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
@@ -436,7 +399,7 @@ fn repeated_kill_revive_never_double_answers() {
         router
             .revive_shard(
                 VICTIM,
-                shard_runtime(RAMP.to_vec(), Duration::from_millis(1), &runtime_config()),
+                shard_runtime(RAMP.to_vec(), Duration::from_millis(1), &fast_runtime(2)),
             )
             .expect("revive");
     }
@@ -477,7 +440,7 @@ fn a_router_grown_from_one_shard_replays_requests_admitted_before_the_add() {
         .add_shard(shard_runtime(
             RAMP.to_vec(),
             Duration::from_millis(1),
-            &runtime_config(),
+            &fast_runtime(2),
         ))
         .expect("add shard");
     assert!(router.kill_shard(0), "shard 0 was alive");
