@@ -140,6 +140,50 @@ fn overload_sheds_then_recovers() {
     gateway.shutdown();
 }
 
+#[test]
+fn graceful_shutdown_answers_every_in_flight_request() {
+    // 3 stages x 30ms on 2 workers: six requests take ~270ms of engine
+    // time, so shutdown at +60ms lands with most of them still in flight.
+    let gateway = start_gateway(
+        vec![0.2, 0.5, 0.9],
+        Duration::from_millis(30),
+        fast_runtime(2),
+        open_config(),
+    );
+    let addr = gateway.local_addr();
+
+    const CLIENTS: usize = 6;
+    let barrier = Arc::new(Barrier::new(CLIENTS + 1));
+    let mut handles = Vec::new();
+    for i in 0..CLIENTS {
+        let barrier = Arc::clone(&barrier);
+        handles.push(std::thread::spawn(move || {
+            let client = MultiplexClient::new(
+                addr,
+                ClientConfig {
+                    max_attempts: 1,
+                    ..ClientConfig::default()
+                },
+            )
+            .expect("resolve loopback");
+            barrier.wait();
+            client.infer("drain", &[i as f32], Duration::from_secs(30))
+        }));
+    }
+    barrier.wait();
+    std::thread::sleep(Duration::from_millis(60));
+    gateway.shutdown();
+
+    for (i, handle) in handles.into_iter().enumerate() {
+        let outcome = handle
+            .join()
+            .expect("client thread panicked")
+            .unwrap_or_else(|e| panic!("request {i} lost during shutdown: {e}"));
+        assert_eq!(outcome.predicted, Some(i as u64));
+        assert_eq!(outcome.stages_executed, 3);
+    }
+}
+
 /// The stream's content through the client's `want_progress` default:
 /// one update per executed stage, each carrying that stage's confidence
 /// and prediction, and none past an early exit. (That updates arrive
