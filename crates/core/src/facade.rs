@@ -1138,18 +1138,11 @@ mod tests {
                 .unwrap();
             assert!(outcome.predicted.is_some(), "variant {name} answered");
         }
-        // Anonymous submissions flow through the data-aware dispatcher.
-        for i in 0..10 {
-            let outcome = client
-                .infer("test", data.sample(i), Duration::from_secs(30))
-                .unwrap();
-            assert!(outcome.predicted.is_some());
-        }
-        let snapshot = gateway.snapshot();
-        assert!(snapshot.per_model["full"].completed >= 1);
-        assert!(snapshot.per_model["compressed"].completed >= 1);
-        let completed: u64 = snapshot.per_model.values().map(|m| m.completed).sum();
-        assert_eq!(completed, 12, "every submission answered by some variant");
+        // A named submit bypasses the dispatcher; the fitted route for
+        // anonymous submits is tests/fitted_dispatcher.rs.
+        let per_model = gateway.snapshot().per_model;
+        assert_eq!(per_model["full"].completed, 1);
+        assert_eq!(per_model["compressed"].completed, 1);
         gateway.shutdown();
     }
 

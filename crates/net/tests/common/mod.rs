@@ -1,9 +1,9 @@
 //! Shared fixtures for eugene-net integration tests: a deterministic
 //! staged engine (the serve crate's test engine is private), helpers that
 //! boot a full runtime + gateway or router on a loopback socket, and a
-//! raw-socket handshake.
+//! raw-socket handshake and request.
 
-use eugene_net::wire::{self, Frame, FrameBuffer, PROTOCOL_VERSION};
+use eugene_net::wire::{self, Frame, FrameBuffer, SubmitRequest, PROTOCOL_VERSION};
 use eugene_net::{Gateway, GatewayConfig, ShardConfig, ShardRouter};
 use eugene_sched::Fifo;
 use eugene_serve::{EngineSession, InferenceEngine, RuntimeConfig, ServingRuntime, StageReport};
@@ -151,6 +151,44 @@ pub fn handshake(addr: SocketAddr) -> TcpStream {
             Some(Frame::HelloAck { .. }) => return stream,
             Some(other) => panic!("expected HelloAck, got {other:?}"),
             None => {}
+        }
+    }
+}
+
+/// Submits `payload` under `tag` on a handshaken raw connection and
+/// returns the prediction its `Final` carries, skipping any
+/// `StageUpdate`s on the way.
+#[allow(dead_code)]
+pub fn infer(
+    stream: &mut TcpStream,
+    buffer: &mut FrameBuffer,
+    tag: u64,
+    payload: f32,
+    routing_key: Option<u64>,
+) -> Option<u64> {
+    let submit = SubmitRequest {
+        client_tag: tag,
+        class: "budget".to_owned(),
+        budget_ms: 10_000,
+        want_progress: false,
+        payload: vec![payload],
+        routing_key,
+        model: None,
+        tenant: None,
+        epoch: None,
+    };
+    wire::write_frame(stream, &Frame::Submit(submit)).expect("submit");
+    loop {
+        match buffer.poll(stream).expect("read answer") {
+            Some(Frame::StageUpdate { .. }) | None => {}
+            Some(Frame::Final {
+                client_tag,
+                response,
+            }) => {
+                assert_eq!(client_tag, tag);
+                return response.predicted;
+            }
+            Some(other) => panic!("expected a Final, got {other:?}"),
         }
     }
 }

@@ -74,10 +74,11 @@ cargo test --workspace -q --offline
 # invisible, exactly-once answers across 100x kill/revive races, no
 # shard left answers ShardLost, shutdown returns with a stalled or
 # silent client, a router grown from one shard fails over, an unknown
-# shard index refused) in `tests/router_contract.rs`, the thread budget
-# (the router is one event loop; a gateway holds an idle crowd without
-# gaining a thread and a live request gets through it in under a
-# second; counted in a process of its own) in `tests/router_threads.rs`,
+# shard index refused) in `tests/router_contract.rs`, the thread budgets
+# (each counted in a process of its own): the router is one event loop
+# in `tests/router_threads.rs`, and a gateway holds an idle crowd without
+# gaining a thread while a live request gets through it in under a
+# second in `tests/gateway_threads.rs`,
 # the consistent-hash ring property suite (bounded remap, exact restore,
 # restart determinism, replica placement, scale-out successors) in
 # `tests/ring_properties.rs`, and the runtime's deadline contract in
@@ -86,11 +87,11 @@ echo "==> cargo test -p eugene-net --no-run --test latency --test replica_faults
 cargo test -p eugene-net -q --offline --no-run \
   --test latency --test replica_faults --test tenants --test overload \
   --test data_aware_registry
-echo "==> cargo test -p eugene --no-run --test gateway_contract --test multiplex --test registry_lifecycle --test fitted_dispatcher --test router_contract --test router_threads --test ring_properties"
+echo "==> cargo test -p eugene --no-run --test gateway_contract --test multiplex --test registry_lifecycle --test fitted_dispatcher --test router_contract --test router_threads --test gateway_threads --test ring_properties"
 cargo test -p eugene -q --offline --no-run \
   --test gateway_contract --test multiplex --test registry_lifecycle \
   --test fitted_dispatcher --test router_contract --test router_threads \
-  --test ring_properties
+  --test gateway_threads --test ring_properties
 
 # Kernel regressions: the blocked/parallel matmul paths must stay
 # bitwise-equal to the naive references at every parallelism setting

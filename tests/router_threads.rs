@@ -1,92 +1,24 @@
-//! The connection engine's thread budget, counted from `/proc/self/task`:
-//! the shard router's own threads are one event loop, however many
-//! shards and client connections it serves, and a gateway holds an idle
-//! crowd without gaining a thread.
+//! The shard router's thread budget: its own threads are one event loop,
+//! however many shards and client connections it serves.
 //!
-//! The checks count the threads of this process, so this file has a
-//! process of its own. Its tests take turns through one lock, and the
-//! count leaves out the harness's test threads (named after the tests),
-//! so neither test sees the other's threads. The clients are raw
-//! sockets, which add no threads to the count.
+//! The check counts the threads of this process, so this file holds one
+//! test and the test harness runs it alone in its own process. The
+//! clients are raw sockets, which add no threads to the count.
 
 #[path = "../crates/net/tests/common/mod.rs"]
 mod common;
 
-use common::{fast_runtime, handshake, open_config, start_gateway, start_router};
-use eugene::net::wire::{self, Frame, FrameBuffer, SubmitRequest};
+use common::{handshake, infer, start_router};
+use eugene::net::wire::FrameBuffer;
 use eugene::net::{ShardConfig, ShardRouter};
 use eugene::serve::RuntimeConfig;
-use std::net::TcpStream;
-use std::sync::{Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// This file's tests. The harness runs each on a thread named after it.
-const TESTS: [&str; 2] = [
-    "router_threads_are_one_event_loop",
-    "idle_crowd_adds_no_thread",
-];
-
-/// Makes this file's tests take turns.
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|poison| poison.into_inner())
-}
-
-/// Threads of this process, as the kernel lists them, other than the
-/// harness's test threads. The kernel keeps a thread's name to its first
-/// 15 bytes; a thread that exits while it is read is not counted.
+/// Threads of this process, as the kernel lists them.
 fn threads() -> usize {
     std::fs::read_dir("/proc/self/task")
         .expect("read /proc/self/task")
-        .filter(|task| {
-            let path = task.as_ref().expect("task entry").path().join("comm");
-            let name = std::fs::read_to_string(path).unwrap_or_default();
-            !TESTS.iter().any(|test| test.starts_with(name.trim_end()))
-        })
         .count()
-}
-
-/// Reads frames until the next one that is not a `StageUpdate`.
-fn next_answer(stream: &mut TcpStream, buffer: &mut FrameBuffer) -> Frame {
-    loop {
-        match buffer.poll(stream).expect("read answer") {
-            Some(Frame::StageUpdate { .. }) | None => {}
-            Some(frame) => return frame,
-        }
-    }
-}
-
-/// Submits `payload` under `tag` and returns the prediction its `Final`
-/// carries.
-fn infer(
-    stream: &mut TcpStream,
-    buffer: &mut FrameBuffer,
-    tag: u64,
-    payload: f32,
-    routing_key: Option<u64>,
-) -> Option<u64> {
-    let submit = SubmitRequest {
-        client_tag: tag,
-        class: "budget".to_owned(),
-        budget_ms: 10_000,
-        want_progress: false,
-        payload: vec![payload],
-        routing_key,
-        model: None,
-        tenant: None,
-        epoch: None,
-    };
-    wire::write_frame(stream, &Frame::Submit(submit)).expect("submit");
-    match next_answer(stream, buffer) {
-        Frame::Final {
-            client_tag,
-            response,
-        } => {
-            assert_eq!(client_tag, tag);
-            response.predicted
-        }
-        other => panic!("expected a Final, got {other:?}"),
-    }
 }
 
 /// A routing key the live ring currently maps to `shard`.
@@ -104,7 +36,6 @@ fn router_threads_are_one_event_loop() {
     const SHARDS: usize = 3;
     const WORKERS: usize = 1;
     const CONNECTIONS: usize = 16;
-    let _serial = serial();
     let before = threads();
     let router = start_router(
         SHARDS,
@@ -135,80 +66,4 @@ fn router_threads_are_one_event_loop() {
     );
     drop(conns);
     router.shutdown();
-}
-
-/// Idle connections in the crowd. Each costs this process two file
-/// descriptors, one per end.
-const CROWD: usize = 2_000;
-/// Descriptors left to everything else in the process.
-const FD_RESERVE: usize = 200;
-
-/// [`CROWD`], or as many connections as the open-file limit allows.
-fn crowd_size() -> usize {
-    let limits = std::fs::read_to_string("/proc/self/limits").expect("read /proc/self/limits");
-    let soft = limits
-        .lines()
-        .find(|line| line.starts_with("Max open files"))
-        .and_then(|line| line.split_whitespace().nth(3))
-        .and_then(|soft| soft.parse::<usize>().ok());
-    soft.map_or(CROWD, |soft| CROWD.min(soft.saturating_sub(FD_RESERVE) / 2))
-}
-
-/// A gateway holds a crowd of handshaken, silent connections on the
-/// threads it started with: the process gains no thread while the crowd
-/// arrives, a live request from a fresh connection gets through the
-/// crowd in under a second, and closed sockets leave the open-connection
-/// gauge without new activity.
-#[test]
-fn idle_crowd_adds_no_thread() {
-    let _serial = serial();
-    let crowd = crowd_size();
-    assert!(
-        crowd >= 300,
-        "the open-file limit leaves room for only {crowd} idle connections"
-    );
-    let gateway = start_gateway(vec![0.95], Duration::ZERO, fast_runtime(2), open_config());
-    let addr = gateway.local_addr();
-    let status = gateway.status();
-    // The runtime's coordinator spawns its worker pool after `start`
-    // returns; one answered request proves the pool is up.
-    let mut warm = handshake(addr);
-    assert_eq!(
-        infer(&mut warm, &mut FrameBuffer::new(), 0, 1.0, None),
-        Some(1)
-    );
-
-    let before = threads();
-    let idle: Vec<TcpStream> = (0..crowd).map(|_| handshake(addr)).collect();
-    assert_eq!(status.open_connections(), crowd as u64 + 1);
-    assert_eq!(
-        threads(),
-        before,
-        "{crowd} idle connections must be held by the threads the gateway started with"
-    );
-
-    let started = Instant::now();
-    let mut live = handshake(addr);
-    assert_eq!(
-        infer(&mut live, &mut FrameBuffer::new(), 1, 2.0, None),
-        Some(2)
-    );
-    let rtt = started.elapsed();
-    println!("live request among {crowd} idle connections: {rtt:?}");
-    assert!(
-        rtt < Duration::from_secs(1),
-        "a live request among {crowd} idle connections took {rtt:?}"
-    );
-
-    drop((warm, idle, live));
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while status.open_connections() > 0 {
-        assert!(
-            Instant::now() < deadline,
-            "{} connections still open after the crowd closed",
-            status.open_connections()
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    gateway.shutdown();
 }
